@@ -28,7 +28,9 @@ fn seed_opts() -> LaunchOptions {
     LaunchOptions { parallelism: 1, scheduler: Scheduler::LinearScan, ..LaunchOptions::default() }
 }
 
-fn fanout_opts() -> [LaunchOptions; 3] {
+/// Worker counts are named, never `0`: that resolves to the host's core
+/// count and, on a one-core host, silently becomes the serial path.
+fn fanout_opts(dev: &DeviceSpec) -> [LaunchOptions; 3] {
     [
         LaunchOptions {
             parallelism: 1,
@@ -41,7 +43,7 @@ fn fanout_opts() -> [LaunchOptions; 3] {
             ..LaunchOptions::default()
         },
         LaunchOptions {
-            parallelism: 0,
+            parallelism: dev.num_sms,
             scheduler: Scheduler::EventHeap,
             ..LaunchOptions::default()
         },
@@ -75,7 +77,7 @@ fn parallel_matches_serial_across_workloads_and_occupancy() {
                 (r, global)
             };
             let (reference, ref_global) = run(seed_opts());
-            for opts in fanout_opts() {
+            for opts in fanout_opts(&dev) {
                 let (r, global) = run(opts);
                 assert_eq!(
                     r, reference,
@@ -120,7 +122,7 @@ fn tuner_decisions_identical_across_fanout() {
         let w = by_name(name).expect("workload");
         let orion = Orion::new(dev.clone(), w.block);
         let reference = tune_with(&orion, &w, seed_opts());
-        for opts in fanout_opts() {
+        for opts in fanout_opts(&dev) {
             let outcome = tune_with(&orion, &w, opts);
             assert_eq!(outcome.selected, reference.selected, "{name}: selected version");
             assert_eq!(outcome.iterations, reference.iterations, "{name}: iteration walk");
@@ -188,7 +190,7 @@ fn fault_outcomes_identical_across_fanout() {
                 .collect()
         };
         let reference = run_seq(seed_opts());
-        for opts in fanout_opts() {
+        for opts in fanout_opts(&dev) {
             let seq = run_seq(opts);
             for (i, (got, want)) in seq.iter().zip(&reference).enumerate() {
                 assert_eq!(

@@ -20,6 +20,7 @@ use crate::decode::{decode_module, DecTerm, DecodedFunc, MAX_SRCS};
 use crate::device::DeviceSpec;
 use crate::lanes::{warp_alu, SoaCta, WarpCtx, WarpOperand};
 use crate::memory::{MemKind, MemStats, MemSystem};
+use crate::overlay::PageOverlay;
 use orion_kir::cfg::{Cfg, PostDominators};
 use orion_kir::function::{FuncKind, Function};
 use orion_kir::inst::Opcode;
@@ -405,13 +406,40 @@ struct Scratch {
     out: WarpOperand,
 }
 
+/// Global memory as one SM engine sees it.
+pub(crate) enum GlobalMem<'g, 'p> {
+    /// The launch buffer itself: serial engines store straight into it.
+    Direct(&'g mut [u8]),
+    /// The shared pristine image under a fan-out worker's copy-on-write
+    /// pages, so an engine sees only its own writes.
+    Overlay(&'g mut PageOverlay<'p>),
+}
+
+impl GlobalMem<'_, '_> {
+    #[inline]
+    fn read(&self, addr: u64, width: Width) -> Option<Val> {
+        match self {
+            GlobalMem::Direct(buf) => read_bytes(buf, addr, width),
+            GlobalMem::Overlay(pages) => pages.read(addr, width),
+        }
+    }
+
+    #[inline]
+    fn write(&mut self, addr: u64, width: Width, v: Val) -> Option<()> {
+        match self {
+            GlobalMem::Direct(buf) => write_bytes(buf, addr, width, v),
+            GlobalMem::Overlay(pages) => pages.write(addr, width, v),
+        }
+    }
+}
+
 /// One SM's execution of its share of the grid.
 pub(crate) struct SmEngine<'m, 'g> {
     dev: &'m DeviceSpec,
     prog: &'m LinkedProgram<'m>,
     launch: Launch,
     params: &'m [u32],
-    global: &'g mut [u8],
+    global: GlobalMem<'g, 'm>,
     mem: MemSystem,
     pub stats: SimStats,
     /// Warp-instructions issued per hardware warp slot (resident-CTA
@@ -469,7 +497,7 @@ impl<'m, 'g> SmEngine<'m, 'g> {
         prog: &'m LinkedProgram<'m>,
         launch: Launch,
         params: &'m [u32],
-        global: &'g mut [u8],
+        global: GlobalMem<'g, 'm>,
         sm_id: u32,
         guards: EngineGuards,
     ) -> Self {
@@ -1332,7 +1360,9 @@ impl<'m, 'g> SmEngine<'m, 'g> {
                                 .as_i32();
                             let addr = (i64::from(base) + i64::from(offset)) as u64;
                             let v = match space {
-                                MemSpace::Global => read_bytes(self.global, addr, width)
+                                MemSpace::Global => self
+                                    .global
+                                    .read(addr, width)
                                     .ok_or(SimError::OutOfBounds { space, addr })?,
                                 MemSpace::Shared => read_bytes(shared, addr, width)
                                     .ok_or(SimError::OutOfBounds { space, addr })?,
@@ -1354,7 +1384,9 @@ impl<'m, 'g> SmEngine<'m, 'g> {
                             let tid = warp_base_tid + lane as u32;
                             let addr = (i64::from(base.w0(lane) as i32) + i64::from(offset)) as u64;
                             let v = match space {
-                                MemSpace::Global => read_bytes(self.global, addr, width)
+                                MemSpace::Global => self
+                                    .global
+                                    .read(addr, width)
                                     .ok_or(SimError::OutOfBounds { space, addr })?,
                                 MemSpace::Shared => read_bytes(shared, addr, width)
                                     .ok_or(SimError::OutOfBounds { space, addr })?,
@@ -1399,7 +1431,9 @@ impl<'m, 'g> SmEngine<'m, 'g> {
                             let addr = (i64::from(base) + i64::from(offset)) as u64;
                             let v = self.operand(lane_state, &inst.srcs()[1], cta_grid, tid);
                             match space {
-                                MemSpace::Global => write_bytes(self.global, addr, width, v)
+                                MemSpace::Global => self
+                                    .global
+                                    .write(addr, width, v)
                                     .ok_or(SimError::OutOfBounds { space, addr })?,
                                 MemSpace::Shared => write_bytes(shared, addr, width, v)
                                     .ok_or(SimError::OutOfBounds { space, addr })?,
@@ -1429,7 +1463,9 @@ impl<'m, 'g> SmEngine<'m, 'g> {
                             let addr = (i64::from(base.w0(lane) as i32) + i64::from(offset)) as u64;
                             let v = value.val(lane);
                             match space {
-                                MemSpace::Global => write_bytes(self.global, addr, width, v)
+                                MemSpace::Global => self
+                                    .global
+                                    .write(addr, width, v)
                                     .ok_or(SimError::OutOfBounds { space, addr })?,
                                 MemSpace::Shared => write_bytes(shared, addr, width, v)
                                     .ok_or(SimError::OutOfBounds { space, addr })?,
@@ -1633,7 +1669,7 @@ fn handle_local_dst(
     c
 }
 
-fn read_bytes(buf: &[u8], addr: u64, width: Width) -> Option<Val> {
+pub(crate) fn read_bytes(buf: &[u8], addr: u64, width: Width) -> Option<Val> {
     let n = width.bytes() as usize;
     let a = addr as usize;
     if a.checked_add(n)? > buf.len() {
@@ -1648,7 +1684,7 @@ fn read_bytes(buf: &[u8], addr: u64, width: Width) -> Option<Val> {
     Some(v)
 }
 
-fn write_bytes(buf: &mut [u8], addr: u64, width: Width, v: Val) -> Option<()> {
+pub(crate) fn write_bytes(buf: &mut [u8], addr: u64, width: Width, v: Val) -> Option<()> {
     let n = width.bytes() as usize;
     let a = addr as usize;
     if a.checked_add(n)? > buf.len() {

@@ -327,13 +327,7 @@ pub(crate) fn warp_alu(op: &Opcode, srcs: &[WarpOperand], out: &mut WarpOperand)
         FMul => bin_f32(srcs, out, |a, b| a * b),
         FMin => bin_f32(srcs, out, f32::min),
         FMax => bin_f32(srcs, out, f32::max),
-        FFma => {
-            for l in 0..32 {
-                let v = f32::from_bits(srcs[0].w0(l))
-                    .mul_add(f32::from_bits(srcs[1].w0(l)), f32::from_bits(srcs[2].w0(l)));
-                out.planes[0][l] = v.to_bits();
-            }
-        }
+        FFma => ffma(srcs, out),
         Mov if srcs[0].words <= 1 => out.planes[0] = srcs[0].planes[0],
         // Wide moves, doubles, conversions, pack/unpack, rcp/sqrt, …:
         // per-lane through the shared scalar semantics.
@@ -350,6 +344,35 @@ pub(crate) fn warp_alu(op: &Opcode, srcs: &[WarpOperand], out: &mut WarpOperand)
                 }
             }
         }
+    }
+}
+
+/// Fused `a * b + c` per lane. Where the host has FMA the plane loop is
+/// compiled with it, so `mul_add` becomes one instruction instead of an
+/// out-of-line `fmaf` call per lane; both are the IEEE fused operation,
+/// so the bits agree.
+#[inline]
+fn ffma(srcs: &[WarpOperand], out: &mut WarpOperand) {
+    #[cfg(target_arch = "x86_64")]
+    if std::is_x86_feature_detected!("fma") {
+        // SAFETY: the `fma` target feature was just detected on this host.
+        return unsafe { ffma_fma(srcs, out) };
+    }
+    ffma_planes(srcs, out);
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "fma")]
+fn ffma_fma(srcs: &[WarpOperand], out: &mut WarpOperand) {
+    ffma_planes(srcs, out);
+}
+
+#[inline(always)]
+fn ffma_planes(srcs: &[WarpOperand], out: &mut WarpOperand) {
+    for l in 0..32 {
+        let v = f32::from_bits(srcs[0].w0(l))
+            .mul_add(f32::from_bits(srcs[1].w0(l)), f32::from_bits(srcs[2].w0(l)));
+        out.planes[0][l] = v.to_bits();
     }
 }
 

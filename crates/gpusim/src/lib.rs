@@ -59,6 +59,7 @@ pub mod faults;
 mod lanes;
 pub mod memory;
 pub mod occupancy;
+mod overlay;
 pub mod power;
 pub mod sim;
 

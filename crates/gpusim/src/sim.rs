@@ -3,13 +3,15 @@
 
 use crate::device::{CacheConfig, DeviceSpec};
 use crate::exec::{
-    EngineGuards, LaneLayout, Launch, LinkedProgram, Scheduler, SimError, SimStats, SmEngine,
-    StallStats,
+    EngineGuards, GlobalMem, LaneLayout, Launch, LinkedProgram, Scheduler, SimError, SimStats,
+    SmEngine, StallStats,
 };
 use crate::faults::FaultInjector;
 use crate::occupancy::{occupancy, KernelResources, OccupancyInfo};
+use crate::overlay::{apply_runs, PageOverlay, WriteRuns};
 use orion_kir::mir::MModule;
 use serde::{Deserialize, Serialize};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Driver-level launch options.
 ///
@@ -229,11 +231,13 @@ pub fn resources_of(m: &MModule, block: u32) -> KernelResources {
 ///
 /// Blocks are assigned to SMs round-robin; each SM simulates its share
 /// with the residency the occupancy calculator allows. SMs may run on
-/// worker threads ([`LaunchOptions::parallelism`]), with their global
-/// memory writes merged back in SM-id order — observationally identical
-/// to running them one after another (CUDA forbids inter-block
-/// communication within a launch, so values are engine-order
-/// independent for conforming kernels).
+/// worker threads ([`LaunchOptions::parallelism`]); each then sees
+/// `global` as it was before the launch plus its own writes (through a
+/// copy-on-write page overlay, not a copy of the image), and the bytes
+/// each SM changed are merged back in SM-id order — observationally
+/// identical to running them one after another (CUDA forbids
+/// inter-block communication within a launch, so values are
+/// engine-order independent for conforming kernels).
 ///
 /// # Errors
 /// [`SimError::Unlaunchable`] when a block cannot fit on an SM at all;
@@ -403,7 +407,15 @@ fn run_launch_impl(
                 v.push(None);
                 continue;
             }
-            let mut engine = SmEngine::new(dev, &prog, launch, params, global, sm, guards_for(sm));
+            let mut engine = SmEngine::new(
+                dev,
+                &prog,
+                launch,
+                params,
+                GlobalMem::Direct(global),
+                sm,
+                guards_for(sm),
+            );
             let c = engine.run(blocks, occ.active_blocks)?;
             v.push(Some(SmRun {
                 cycles: c,
@@ -488,38 +500,19 @@ fn effective_workers(parallelism: u32, num_sms: u32) -> u32 {
     requested.clamp(1, num_sms.max(1))
 }
 
-/// The byte ranges an engine wrote, as `(offset, new bytes)` runs
-/// against the pristine pre-launch buffer.
-type WriteRuns = Vec<(usize, Vec<u8>)>;
-
-fn diff_runs(base: &[u8], new: &[u8]) -> WriteRuns {
-    debug_assert_eq!(base.len(), new.len());
-    let mut runs = WriteRuns::new();
-    let mut i = 0;
-    while i < base.len() {
-        if base[i] == new[i] {
-            i += 1;
-            continue;
-        }
-        let start = i;
-        while i < base.len() && base[i] != new[i] {
-            i += 1;
-        }
-        runs.push((start, new[start..i].to_vec()));
-    }
-    runs
-}
-
-fn apply_runs(global: &mut [u8], runs: &WriteRuns) {
-    for (start, bytes) in runs {
-        global[*start..*start + bytes.len()].copy_from_slice(bytes);
-    }
-}
-
-/// Fan the per-SM engines out over `workers` scoped threads.
+/// Fan the per-SM engines out over `workers` threads: the calling one
+/// and `workers - 1` scoped ones.
 ///
-/// Each worker owns a private copy of the pristine global buffer,
-/// reset per SM, and reports the byte runs its SMs wrote; the caller's
+/// Workers claim SMs one at a time in sm-id order, so a worker that
+/// the host slows down (or that drew the longer SMs) hands the rest of
+/// the launch to the others instead of holding it up; which worker ran
+/// an SM never changes its result. Every engine reads the caller's
+/// buffer, still pristine, through its worker's copy-on-write
+/// [`PageOverlay`]: a store copies its page into the worker on first
+/// touch, so each SM sees the pre-launch image plus its own writes.
+/// When an SM finishes, its dirty pages are compared with the pristine
+/// image and the changed byte runs kept; the page buffers are then
+/// reused for the worker's next SM. The caller's
 /// buffer is untouched until every engine has finished, then the runs
 /// are applied in sm-id order — reproducing the serial engine order
 /// exactly. On failure, serial semantics are preserved the same way:
@@ -542,42 +535,42 @@ fn run_sms_parallel(
         (0..num_sms).map(|_| None).collect();
     {
         let pristine: &[u8] = global;
-        std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(workers as usize);
-            for k in 0..workers as usize {
-                handles.push(scope.spawn(move || {
-                    let mut out = Vec::new();
-                    let mut buf: Vec<u8> = Vec::new();
-                    for sm in (k..num_sms).step_by(workers as usize) {
-                        if partition[sm].is_empty() {
-                            continue;
-                        }
-                        buf.clear();
-                        buf.extend_from_slice(pristine);
-                        let mut engine = SmEngine::new(
-                            dev,
-                            prog,
-                            launch,
-                            params,
-                            &mut buf,
-                            sm as u32,
-                            guards_for(sm as u32),
-                        );
-                        let r = engine.run(&partition[sm], residency);
-                        let stats = engine.stats;
-                        let per_warp = std::mem::take(&mut engine.per_warp_issued);
-                        drop(engine);
-                        let runs = diff_runs(pristine, &buf);
-                        let run = r.map(|c| SmRun { cycles: c, stats, per_warp });
-                        out.push((sm, run, runs));
-                    }
-                    out
-                }));
-            }
-            for handle in handles {
-                for (sm, run, runs) in handle.join().expect("sim worker panicked") {
-                    results[sm] = Some((run, runs));
+        let next_sm = AtomicUsize::new(0);
+        let worker = || {
+            let mut out = Vec::new();
+            let mut pages = PageOverlay::new(pristine);
+            loop {
+                let sm = next_sm.fetch_add(1, Ordering::Relaxed);
+                if sm >= num_sms {
+                    break out;
                 }
+                if partition[sm].is_empty() {
+                    continue;
+                }
+                let mut engine = SmEngine::new(
+                    dev,
+                    prog,
+                    launch,
+                    params,
+                    GlobalMem::Overlay(&mut pages),
+                    sm as u32,
+                    guards_for(sm as u32),
+                );
+                let r = engine.run(&partition[sm], residency);
+                let stats = engine.stats;
+                let per_warp = std::mem::take(&mut engine.per_warp_issued);
+                drop(engine);
+                let runs = pages.take_runs();
+                let run = r.map(|c| SmRun { cycles: c, stats, per_warp });
+                out.push((sm, run, runs));
+            }
+        };
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = (1..workers).map(|_| scope.spawn(worker)).collect();
+            let own = worker();
+            let joined = handles.into_iter().map(|h| h.join().expect("sim worker panicked"));
+            for (sm, run, runs) in std::iter::once(own).chain(joined).flatten() {
+                results[sm] = Some((run, runs));
             }
         });
     }

@@ -13,8 +13,8 @@
 //! the same cycle.
 
 use orion_alloc::realize::{allocate, AllocOptions, SlotBudget};
-use orion_gpusim::device::DeviceSpec;
-use orion_gpusim::exec::Launch;
+use orion_gpusim::device::{CacheConfig, DeviceSpec};
+use orion_gpusim::exec::{Launch, SimError};
 use orion_gpusim::sim::{run_launch_opts, LaunchOptions, RunResult};
 use orion_gpusim::{LaneLayout, Scheduler};
 use orion_kir::builder::FunctionBuilder;
@@ -240,23 +240,36 @@ fn errors_are_identical_across_fanout() {
     let params = [0u32, 4 * n];
     // Inputs need bytes [0, 16384); outputs start at 16384, so 20000
     // bytes cuts the output region off inside block 3.
-    let bytes = 20000usize;
+    assert_error_identical_across_fanout(&dev, &machine, launch, &params, vec![0u8; 20000]);
+    // Over a patterned image, 31000 bytes cuts the output region off
+    // inside block 14 (SM 6's second block): SMs 0-5 have dirtied output
+    // pages 4-7 by then, and SM 7's stores into the same pages must
+    // leave nothing.
+    assert_error_identical_across_fanout(&dev, &machine, launch, &params, patterned(31000));
+}
+
+fn assert_error_identical_across_fanout(
+    dev: &DeviceSpec,
+    machine: &MModule,
+    launch: Launch,
+    params: &[u32],
+    init: Vec<u8>,
+) {
     let base = LaunchOptions {
         parallelism: 1,
         scheduler: Scheduler::LinearScan,
         ..LaunchOptions::default()
     };
-    let mut ref_global = vec![0u8; bytes];
+    let mut ref_global = init.clone();
     let reference =
-        run_launch_opts(&dev, &machine, launch, &params, &mut ref_global, base).unwrap_err();
+        run_launch_opts(dev, machine, launch, params, &mut ref_global, base).unwrap_err();
     for scheduler in [Scheduler::LinearScan, Scheduler::EventHeap] {
         for layout in [LaneLayout::Aos, LaneLayout::Soa] {
             for parallelism in [2u32, dev.num_sms] {
                 let opts =
                     LaunchOptions { parallelism, scheduler, layout, ..LaunchOptions::default() };
-                let mut g = vec![0u8; bytes];
-                let err =
-                    run_launch_opts(&dev, &machine, launch, &params, &mut g, opts).unwrap_err();
+                let mut g = init.clone();
+                let err = run_launch_opts(dev, machine, launch, params, &mut g, opts).unwrap_err();
                 assert_eq!(err, reference, "{scheduler:?}/{layout:?}/parallelism={parallelism}");
                 assert_eq!(
                     g, ref_global,
@@ -266,6 +279,153 @@ fn errors_are_identical_across_fanout() {
             }
         }
     }
+}
+
+/// A global image whose byte pattern repeats every 251 bytes (prime, so
+/// never in step with a page or a word), so copies and stores change
+/// most bytes and, now and then, rewrite a byte with its own value
+/// (which must not land).
+fn patterned(bytes: usize) -> Vec<u8> {
+    (0..bytes).map(|i| (i * 131 % 251) as u8).collect()
+}
+
+/// `dst[gid] = src[gid]` and `dst2[gid] = dst[gid]` in 128-bit words:
+/// the second load reads the SM's own store back. With the region bases
+/// 8 bytes short of a 4 KiB boundary, one word in 256 straddles a page.
+fn wide_copy_kernel() -> Module {
+    let mut b = FunctionBuilder::kernel("wide");
+    let tid = b.mov(Operand::Special(SpecialReg::TidX));
+    let cta = b.mov(Operand::Special(SpecialReg::CtaIdX));
+    let nt = b.mov(Operand::Special(SpecialReg::NTidX));
+    let gid = b.imad(cta, nt, tid);
+    let src = b.imad(gid, Operand::Imm(16), Operand::Param(0));
+    let quad = b.ld(MemSpace::Global, Width::W128, src, 0);
+    let dst = b.imad(gid, Operand::Imm(16), Operand::Param(1));
+    b.st(MemSpace::Global, Width::W128, dst, quad, 0);
+    let back = b.ld(MemSpace::Global, Width::W128, dst, 0);
+    let dst2 = b.imad(gid, Operand::Imm(16), Operand::Param(2));
+    b.st(MemSpace::Global, Width::W128, dst2, back, 0);
+    Module::new(b.finish())
+}
+
+/// Run `launches` in order over one buffer starting as `init`, each at
+/// `parallelism`: every launch's outcome, and the memory afterwards.
+fn run_sequence(
+    dev: &DeviceSpec,
+    machine: &MModule,
+    launch: Launch,
+    params: &[u32],
+    init: &[u8],
+    launches: &[LaunchOptions],
+    parallelism: u32,
+) -> (Vec<Result<RunResult, SimError>>, Vec<u8>) {
+    let mut global = init.to_vec();
+    let results = launches
+        .iter()
+        .map(|opts| {
+            let opts = opts.with_parallelism(parallelism);
+            run_launch_opts(dev, machine, launch, params, &mut global, opts)
+        })
+        .collect();
+    (results, global)
+}
+
+/// The fan-out at two workers and at one per SM must reproduce the
+/// serial engine: every launch's full `RunResult` (or error) and the
+/// global memory afterwards.
+fn assert_fanout_matches_serial(
+    name: &str,
+    dev: &DeviceSpec,
+    machine: &MModule,
+    launch: Launch,
+    params: &[u32],
+    init: &[u8],
+    launches: &[LaunchOptions],
+) {
+    let (reference, ref_global) = run_sequence(dev, machine, launch, params, init, launches, 1);
+    assert!(reference.iter().all(Result::is_ok), "{name}: serial run failed: {reference:?}");
+    assert_ne!(ref_global, init, "{name}: the launches wrote nothing");
+    for parallelism in [2u32, dev.num_sms] {
+        let (r, global) = run_sequence(dev, machine, launch, params, init, launches, parallelism);
+        assert_eq!(r, reference, "{name}/parallelism={parallelism} diverged from serial");
+        assert_eq!(
+            global, ref_global,
+            "{name}/parallelism={parallelism} produced different memory"
+        );
+    }
+}
+
+#[test]
+fn fanout_matches_serial_on_page_straddling_wide_accesses() {
+    let dev = DeviceSpec::gtx680();
+    let machine = compile(&wide_copy_kernel(), 16, 0);
+    // 512 threads x 16 B = 8 KiB per region; each base sits 8 bytes
+    // short of a page boundary, with a page of gap between regions.
+    let launch = Launch { grid: 8, block: 64 };
+    let (src, dst, dst2) = (4096 - 8, 4 * 4096 - 8, 7 * 4096 - 8);
+    let init = patterned(dst2 as usize + 8192 + 8);
+    assert_fanout_matches_serial(
+        "wide",
+        &dev,
+        &machine,
+        launch,
+        &[src, dst, dst2],
+        &init,
+        &[LaunchOptions::default()],
+    );
+}
+
+#[test]
+fn fanout_matches_serial_on_images_not_page_sized() {
+    let dev = DeviceSpec::gtx680();
+    let machine = compile(&streaming_kernel(3), 16, 0);
+    // 1 KiB (under one page), then 7680 B + 100 (1.9 pages): every
+    // store into the last page is bounds-checked against the image.
+    for launch in [Launch { grid: 4, block: 32 }, Launch { grid: 10, block: 96 }] {
+        let n = launch.grid * launch.block;
+        for bytes in [8 * n as usize, 8 * n as usize + 100] {
+            assert_fanout_matches_serial(
+                &format!("stream/{launch:?}/{bytes}B"),
+                &dev,
+                &machine,
+                launch,
+                &[0, 4 * n],
+                &patterned(bytes),
+                &[LaunchOptions::default()],
+            );
+        }
+    }
+}
+
+#[test]
+fn fanout_matches_serial_on_sliced_launches_with_cache_config() {
+    // The launch sequence `Orion::tune_space` issues for a split arm:
+    // consecutive CTA slices over one buffer, each with a per-launch
+    // L1/shared split, so each slice starts from the previous slices'
+    // writes.
+    let dev = DeviceSpec::gtx680();
+    let machine = compile(&streaming_kernel(4), 16, 0);
+    let launch = Launch { grid: 24, block: 128 };
+    let n = launch.grid * launch.block;
+    let slices: Vec<LaunchOptions> = [
+        (0, 8, CacheConfig::LargeCache),
+        (8, 8, CacheConfig::LargeCache),
+        (16, 8, CacheConfig::SmallCache),
+    ]
+    .into_iter()
+    .map(|(first, count, cfg)| {
+        LaunchOptions::default().with_cta_range(Some((first, count))).with_cache_config(cfg)
+    })
+    .collect();
+    assert_fanout_matches_serial(
+        "sliced",
+        &dev,
+        &machine,
+        launch,
+        &[0, 4 * n],
+        &patterned(8 * n as usize),
+        &slices,
+    );
 }
 
 /// The layout-equivalence sweep of the SoA rebuild: three workloads
