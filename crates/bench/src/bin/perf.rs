@@ -10,17 +10,17 @@
 //! * **simulate**: wall-time and simulated SM-cycles/second for the
 //!   same launch under four engine configurations — `serial` (the seed
 //!   path: one thread, linear-scan scheduler, AoS lane state),
-//!   `heap_serial` (one thread, event-heap scheduler, AoS: the
+//!   `tree_serial` (one thread, winner-tree scheduler, AoS: the
 //!   pre-SoA engine, isolating the O(W)→O(log W) scheduling win),
-//!   `soa_serial` (one thread, event heap, pooled SoA lane arenas:
-//!   isolating the batched-execution win), and `parallel` (event heap,
-//!   SoA, one worker per host core capped at the SM count). All four
-//!   must report bit-identical cycle counts, or the binary exits
+//!   `soa_serial` (one thread, winner tree, pooled SoA lane arenas:
+//!   isolating the batched-execution win), and `parallel` (winner
+//!   tree, SoA, one worker per host core capped at the SM count). All
+//!   four must report bit-identical cycle counts, or the binary exits
 //!   non-zero.
 //!
 //! The **sim-throughput floor** gates the SoA win: the geomean over
 //! the three workloads of `soa_serial.sim_cycles_per_sec /
-//! heap_serial.sim_cycles_per_sec` must be ≥ 1.25, or the binary exits
+//! tree_serial.sim_cycles_per_sec` must be ≥ 1.25, or the binary exits
 //! 2. The pre-SoA figure is measured in the same process and build, so
 //! the gate is self-calibrating across hosts and profiles.
 //! `--inject-slow` deliberately measures the `soa_serial` label with
@@ -67,22 +67,22 @@ struct WorkloadPerf {
     compile_cold: CachePhase,
     compile_warm: CachePhase,
     serial: SimConfig,
-    heap_serial: SimConfig,
+    tree_serial: SimConfig,
     soa_serial: SimConfig,
     parallel: SimConfig,
     /// serial wall / parallel wall (the full engine vs the seed path).
     speedup_parallel_over_serial: f64,
-    /// serial wall / heap_serial wall (scheduler win alone).
-    speedup_heap_over_scan: f64,
-    /// heap_serial wall / soa_serial wall (lane-layout win alone —
+    /// serial wall / tree_serial wall (scheduler win alone).
+    speedup_tree_over_scan: f64,
+    /// tree_serial wall / soa_serial wall (lane-layout win alone —
     /// equal cycles, so also the sim_cycles_per_sec ratio).
-    speedup_soa_over_heap: f64,
+    speedup_soa_over_tree: f64,
 }
 
 #[derive(Serialize)]
 struct SimGate {
     floor: f64,
-    geomean_soa_over_heap: f64,
+    geomean_soa_over_tree: f64,
     passed: bool,
     /// True when `--inject-slow` deliberately measured the reference
     /// layout under the `soa_serial` label (gate-inversion proof).
@@ -101,7 +101,7 @@ struct PerfDoc {
     build_profile: String,
     workloads: Vec<WorkloadPerf>,
     geomean_speedup_parallel_over_serial: f64,
-    geomean_speedup_heap_over_scan: f64,
+    geomean_speedup_tree_over_scan: f64,
     sim_gate: SimGate,
     warm_cache_recompiles: u64,
 }
@@ -197,36 +197,36 @@ fn main() {
             layout: LaneLayout::Aos,
             ..LaunchOptions::default()
         };
-        let heap_opts = LaunchOptions {
+        let tree_opts = LaunchOptions {
             parallelism: 1,
-            scheduler: Scheduler::EventHeap,
+            scheduler: Scheduler::WinnerTree,
             layout: LaneLayout::Aos,
             ..LaunchOptions::default()
         };
         let soa_opts = LaunchOptions {
             parallelism: 1,
-            scheduler: Scheduler::EventHeap,
+            scheduler: Scheduler::WinnerTree,
             layout: soa_layout,
             ..LaunchOptions::default()
         };
         let par_opts = LaunchOptions {
             parallelism: 0, // one worker per host core
-            scheduler: Scheduler::EventHeap,
+            scheduler: Scheduler::WinnerTree,
             layout: LaneLayout::Soa,
             ..LaunchOptions::default()
         };
         let (serial_ms, serial_cycles) =
             time_runs(reps, &dev, &w, &v.machine, v.extra_smem, serial_opts);
-        let (heap_ms, heap_cycles) = time_runs(reps, &dev, &w, &v.machine, v.extra_smem, heap_opts);
+        let (tree_ms, tree_cycles) = time_runs(reps, &dev, &w, &v.machine, v.extra_smem, tree_opts);
         let (soa_ms, soa_cycles) = time_runs(reps, &dev, &w, &v.machine, v.extra_smem, soa_opts);
         let (par_ms, par_cycles) = time_runs(reps, &dev, &w, &v.machine, v.extra_smem, par_opts);
-        if serial_cycles != heap_cycles
+        if serial_cycles != tree_cycles
             || serial_cycles != soa_cycles
             || serial_cycles != par_cycles
         {
             eprintln!(
                 "FAIL {name}: configurations disagree on cycles \
-                 (serial {serial_cycles}, heap {heap_cycles}, soa {soa_cycles}, \
+                 (serial {serial_cycles}, tree {tree_cycles}, soa {soa_cycles}, \
                  parallel {par_cycles})"
             );
             failed = true;
@@ -238,23 +238,23 @@ fn main() {
             compile_cold: CachePhase { wall_ms: cold_ms, hits: cold.hits, misses: cold.misses },
             compile_warm: CachePhase { wall_ms: warm_ms, hits: warm_hits, misses: warm_misses },
             serial: sim_config(serial_ms, serial_cycles, dev.num_sms),
-            heap_serial: sim_config(heap_ms, heap_cycles, dev.num_sms),
+            tree_serial: sim_config(tree_ms, tree_cycles, dev.num_sms),
             soa_serial: sim_config(soa_ms, soa_cycles, dev.num_sms),
             parallel: sim_config(par_ms, par_cycles, dev.num_sms),
             speedup_parallel_over_serial: serial_ms / par_ms,
-            speedup_heap_over_scan: serial_ms / heap_ms,
-            speedup_soa_over_heap: heap_ms / soa_ms,
+            speedup_tree_over_scan: serial_ms / tree_ms,
+            speedup_soa_over_tree: tree_ms / soa_ms,
         });
     }
 
     // The sim-throughput floor: SoA must beat the pre-SoA engine
-    // (event heap, AoS) measured in this same process and build.
-    let geomean_soa = geomean(rows.iter().map(|r| r.speedup_soa_over_heap));
+    // (winner tree, AoS) measured in this same process and build.
+    let geomean_soa = geomean(rows.iter().map(|r| r.speedup_soa_over_tree));
     let gate_passed = geomean_soa >= SIM_THROUGHPUT_FLOOR;
     if !gate_passed {
         eprintln!(
             "FAIL: geomean sim-throughput {geomean_soa:.3}x is below the \
-             {SIM_THROUGHPUT_FLOOR:.2}x SoA floor (soa_serial vs heap_serial)"
+             {SIM_THROUGHPUT_FLOOR:.2}x SoA floor (soa_serial vs tree_serial)"
         );
         failed = true;
     }
@@ -269,10 +269,10 @@ fn main() {
         geomean_speedup_parallel_over_serial: geomean(
             rows.iter().map(|r| r.speedup_parallel_over_serial),
         ),
-        geomean_speedup_heap_over_scan: geomean(rows.iter().map(|r| r.speedup_heap_over_scan)),
+        geomean_speedup_tree_over_scan: geomean(rows.iter().map(|r| r.speedup_tree_over_scan)),
         sim_gate: SimGate {
             floor: SIM_THROUGHPUT_FLOOR,
-            geomean_soa_over_heap: geomean_soa,
+            geomean_soa_over_tree: geomean_soa,
             passed: gate_passed,
             injected_slow: inject_slow,
         },
@@ -290,10 +290,10 @@ fn main() {
         "workload",
         "cycles",
         "serial",
-        "heap",
+        "tree",
         "soa",
         "par",
-        "x_heap",
+        "x_tree",
         "x_soa",
         "x_par",
     );
@@ -303,19 +303,19 @@ fn main() {
             r.name,
             r.cycles,
             r.serial.wall_ms,
-            r.heap_serial.wall_ms,
+            r.tree_serial.wall_ms,
             r.soa_serial.wall_ms,
             r.parallel.wall_ms,
-            r.speedup_heap_over_scan,
-            r.speedup_soa_over_heap,
+            r.speedup_tree_over_scan,
+            r.speedup_soa_over_tree,
             r.speedup_parallel_over_serial,
         ));
     }
     text.push_str(&format!(
-        "geomean speedup: heap/scan {:.2}x, soa/heap {:.2}x (floor {:.2}x: {}), \
+        "geomean speedup: tree/scan {:.2}x, soa/tree {:.2}x (floor {:.2}x: {}), \
          parallel/serial {:.2}x; warm-cache recompiles: {}\n",
-        doc.geomean_speedup_heap_over_scan,
-        doc.sim_gate.geomean_soa_over_heap,
+        doc.geomean_speedup_tree_over_scan,
+        doc.sim_gate.geomean_soa_over_tree,
         doc.sim_gate.floor,
         if doc.sim_gate.passed { "pass" } else { "FAIL" },
         doc.geomean_speedup_parallel_over_serial,

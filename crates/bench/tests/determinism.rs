@@ -1,4 +1,4 @@
-//! Fan-out determinism property tests: the parallel event-heap engine
+//! Fan-out determinism property tests: the parallel winner-tree engine
 //! must be observationally identical to the serial seed engine — same
 //! cycles, same stall buckets, same per-SM rollups, same memory, same
 //! tuner decision log, same injected-fault outcomes — across real
@@ -34,17 +34,17 @@ fn fanout_opts(dev: &DeviceSpec) -> [LaunchOptions; 3] {
     [
         LaunchOptions {
             parallelism: 1,
-            scheduler: Scheduler::EventHeap,
+            scheduler: Scheduler::WinnerTree,
             ..LaunchOptions::default()
         },
         LaunchOptions {
             parallelism: 2,
-            scheduler: Scheduler::EventHeap,
+            scheduler: Scheduler::WinnerTree,
             ..LaunchOptions::default()
         },
         LaunchOptions {
             parallelism: dev.num_sms,
-            scheduler: Scheduler::EventHeap,
+            scheduler: Scheduler::WinnerTree,
             ..LaunchOptions::default()
         },
     ]

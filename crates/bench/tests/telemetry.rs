@@ -6,11 +6,24 @@ use orion_bench::experiment::run_version_once;
 use orion_core::orion::Orion;
 use orion_gpusim::DeviceSpec;
 use orion_telemetry::metrics::{aggregate_counters, MetricsReport};
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
+/// The telemetry switch and event buffer are process-global, and the
+/// test harness runs these tests on concurrent threads: one test's
+/// `set_enabled(false)` or `take_events` would otherwise cut into
+/// another's probes. Each test holds this lock for its whole body.
+static TELEMETRY: Mutex<()> = Mutex::new(());
+
+fn serialize() -> MutexGuard<'static, ()> {
+    // A failed test poisons the lock; the rest still run on their own.
+    TELEMETRY.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// The exporter output parses as JSON, carries the required
 /// trace_event keys, and is sorted by timestamp.
 #[test]
 fn chrome_trace_exports_valid_sorted_json() {
+    let _serial = serialize();
     orion_telemetry::set_enabled(true);
     if !orion_telemetry::is_enabled() {
         return; // probes compiled out (--no-default-features)
@@ -33,8 +46,7 @@ fn chrome_trace_exports_valid_sorted_json() {
     let evs =
         parsed.get("traceEvents").and_then(serde_json::Value::as_array).expect("traceEvents array");
 
-    // Other tests may run concurrently and append to the global buffer;
-    // only assert on our own category.
+    // Only assert on our own category.
     let snap: Vec<&serde_json::Value> =
         evs.iter().filter(|e| e.get("cat").and_then(|c| c.as_str()) == Some("snap")).collect();
     // outer B+E, inner B+E, counter, instant, 2 completes = 8 events.
@@ -56,6 +68,7 @@ fn chrome_trace_exports_valid_sorted_json() {
 
 #[test]
 fn counter_aggregation_rolls_up_by_category() {
+    let _serial = serialize();
     orion_telemetry::set_enabled(true);
     if !orion_telemetry::is_enabled() {
         return; // probes compiled out (--no-default-features)
@@ -80,6 +93,7 @@ fn counter_aggregation_rolls_up_by_category() {
 #[test]
 #[cfg_attr(debug_assertions, ignore = "simulator sweeps need --release")]
 fn stall_buckets_partition_on_real_workloads() {
+    let _serial = serialize();
     let dev = DeviceSpec::gtx680();
     for name in ["matrixMul", "backprop", "hotspot"] {
         let w = orion_workloads::by_name(name).expect("known workload");

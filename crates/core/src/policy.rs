@@ -365,7 +365,9 @@ const SPILL_MOVE_WEIGHT: u64 = 4;
 /// * Each resident block retires the version's static instruction
 ///   stream once per grid block it serves; spill traffic (the
 ///   allocator's compressible-stack moves, which grow as occupancy
-///   tuning squeezes registers) is weighted [`SPILL_MOVE_WEIGHT`]×.
+///   tuning squeezes registers) is weighted 4× (a stack move touches
+///   the on-chip private region: dearer than an ALU op, far cheaper
+///   than a DRAM round trip).
 /// * A version resident at `b` blocks/SM serves `ceil(blocks_per_sm /
 ///   b)` sequential *rounds* — the same quantization the occupancy
 ///   calculator applies. This is what makes the bound non-monotone in

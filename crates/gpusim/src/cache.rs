@@ -4,9 +4,11 @@
 #[derive(Debug, Clone)]
 pub struct Cache {
     sets: usize,
+    ways: usize,
     line_shift: u32,
-    /// `tags[set][way] = Some((tag, last_use))`.
-    tags: Vec<Vec<Option<(u64, u64)>>>,
+    /// `tags[set * ways + way] = (tag, last_use)`; `last_use == 0` marks
+    /// an empty way (the use clock starts at 1).
+    tags: Vec<(u64, u64)>,
     tick: u64,
     /// Hit/miss counters.
     pub hits: u64,
@@ -28,37 +30,38 @@ impl Cache {
         let sets = (lines / ways).max(1);
         Cache {
             sets,
+            ways,
             line_shift: line.trailing_zeros(),
-            tags: vec![vec![None; ways]; sets],
+            tags: vec![(0, 0); sets * ways],
             tick: 0,
             hits: 0,
             misses: 0,
         }
     }
 
-    /// Access `addr`; returns `true` on hit. Misses allocate (LRU evict).
+    /// Access `addr`; returns `true` on hit. Misses allocate into the
+    /// first empty way, else evict the least recently used one.
     pub fn access(&mut self, addr: u64) -> bool {
         self.tick += 1;
         let line = addr >> self.line_shift;
         let set = (line as usize) % self.sets;
         let tag = line / self.sets as u64;
-        let ways = &mut self.tags[set];
-        for (t, last) in ways.iter_mut().flatten() {
-            if *t == tag {
+        let ways = &mut self.tags[set * self.ways..][..self.ways];
+        // One pass finds a hit or, failing that, the first way with the
+        // smallest last use (an empty way counts as 0).
+        let (mut victim, mut oldest) = (0, u64::MAX);
+        for (i, (t, last)) in ways.iter_mut().enumerate() {
+            if *last != 0 && *t == tag {
                 *last = self.tick;
                 self.hits += 1;
                 return true;
             }
+            if *last < oldest {
+                (victim, oldest) = (i, *last);
+            }
         }
         self.misses += 1;
-        // Evict LRU (or fill an empty way).
-        let victim = ways
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, w)| w.map_or(0, |(_, last)| last))
-            .map(|(i, _)| i)
-            .expect("nonzero ways");
-        ways[victim] = Some((tag, self.tick));
+        ways[victim] = (tag, self.tick);
         false
     }
 
@@ -66,11 +69,7 @@ impl Cache {
     /// cold-ish caches conservatively; the paper's kernels are large
     /// enough that cross-launch reuse is negligible).
     pub fn flush(&mut self) {
-        for set in &mut self.tags {
-            for w in set {
-                *w = None;
-            }
-        }
+        self.tags.fill((0, 0));
     }
 
     /// Hit rate so far (0 when no accesses).

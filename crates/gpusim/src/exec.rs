@@ -179,18 +179,21 @@ impl StallStats {
 /// warps (not done, not at a barrier), issue the one minimizing the
 /// pair `(ready_cycle, warp_id)` lexicographically. The linear scan
 /// realizes it by keeping the *first* index on ties (its comparison is
-/// strict, `r < br`); the event heap realizes it by keying its entries
+/// strict, `r < br`); the winner tree realizes it by keying its leaves
 /// on exactly `(ready_cycle, warp_id)`. Results are therefore
-/// bit-identical; a debug assertion cross-checks the heap's pick
+/// bit-identical; a debug assertion cross-checks the tree's pick
 /// against the reference scan on every issue, and
 /// `tests/schedule.rs` pins the equivalence end to end.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub enum Scheduler {
-    /// Monotone ready-queue: a `BinaryHeap` keyed on
-    /// `(ready_cycle, warp_id)` with lazy invalidation. O(log W) per
-    /// issue instead of O(W).
+    /// A winner (tournament) tree over the SM's hardware warp slots
+    /// (`residency × warps_per_block` leaves): each leaf holds the
+    /// `(ready_cycle, warp_id)` key of the warp in that slot, or an
+    /// idle key when the slot is empty, its warp done or at a barrier.
+    /// An issue reads the root and re-keys only the leaves the step
+    /// touched, log₂(slots) min operations each.
     #[default]
-    EventHeap,
+    WinnerTree,
     /// The seed engine's O(W) per-issue scan, kept as the reference
     /// implementation for perf baselines and equivalence tests.
     LinearScan,
@@ -339,14 +342,14 @@ struct Warp {
     onchip_mem: Vec<bool>,
     local_ready: Vec<u64>,
     pred_ready: [u64; NUM_PRED_REGS as usize],
-    /// Generation of this warp's latest ready-queue entry; older heap
-    /// entries are lazily discarded on pop (ready times are monotone,
-    /// so the latest push is the only live one).
-    sched_gen: u64,
-    /// Binding constraint cached at the latest ready-queue push (the
-    /// `Wait` half of `warp_ready_info` at that instant; the warp has
-    /// not mutated since, or it would have been re-pushed).
+    /// Binding constraint cached at the warp's latest winner-tree
+    /// re-key (the `Wait` half of `warp_ready_info` at that instant;
+    /// the warp has not mutated since, or it would have been re-keyed).
     ready_why: Wait,
+    /// Hardware warp slot the warp occupies: its winner-tree leaf.
+    slot: u32,
+    /// Index into `SmEngine::per_warp_issued` (per-warp-slot rollup).
+    rollup: u32,
 }
 
 /// A CTA's lane state in whichever layout the launch selected.
@@ -368,8 +371,79 @@ struct Cta {
     lanes: LaneArena,
     shared: Vec<u8>,
     warps_left: usize,
+    /// Index of the CTA's first warp in the SM's warp table; its warps
+    /// are the `warps_per_block` entries from there.
+    first_warp: usize,
+    /// First hardware warp slot of the CTA's slot range, handed to the
+    /// CTA admitted in its place when it retires.
+    slot_base: u32,
     /// Cycle at which this CTA was admitted (telemetry timeline).
     admitted_at: u64,
+}
+
+/// A winner-tree key, ordered as `(ready_cycle, warp_id)`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct TreeKey {
+    ready: u64,
+    warp: u32,
+}
+
+impl TreeKey {
+    /// Key of a leaf whose slot holds no runnable warp; above every real
+    /// key, since no warp id reaches `u32::MAX`.
+    const IDLE: TreeKey = TreeKey { ready: u64::MAX, warp: u32::MAX };
+
+    /// The lesser of two keys. Both selects are branch-free: which key
+    /// wins a match is data-dependent, so a branch would mispredict.
+    #[inline]
+    fn min(self, other: TreeKey) -> TreeKey {
+        let less =
+            (other.ready < self.ready) | ((other.ready == self.ready) & (other.warp < self.warp));
+        TreeKey {
+            ready: std::hint::select_unpredictable(less, other.ready, self.ready),
+            warp: std::hint::select_unpredictable(less, other.warp, self.warp),
+        }
+    }
+}
+
+/// Winner (tournament) tree over the hardware warp slots: every node
+/// holds the minimum key of its subtree, so the root is the warp to
+/// issue next.
+struct WinnerTree {
+    /// Leaf count: the slot count rounded up to a power of two.
+    leaves: usize,
+    /// `nodes[1]` is the root, node `i` has children `2i` and `2i + 1`,
+    /// and slot `s` is leaf `nodes[leaves + s]`. Padding leaves stay idle.
+    nodes: Vec<TreeKey>,
+}
+
+impl WinnerTree {
+    fn new(slots: usize) -> Self {
+        let leaves = slots.max(1).next_power_of_two();
+        WinnerTree { leaves, nodes: vec![TreeKey::IDLE; 2 * leaves] }
+    }
+
+    /// The minimum key over all slots as `(ready_cycle, warp_id)`, or
+    /// `None` when no slot holds a runnable warp.
+    #[inline]
+    fn root(&self) -> Option<(u64, usize)> {
+        let key = self.nodes[1];
+        (key != TreeKey::IDLE).then_some((key.ready, key.warp as usize))
+    }
+
+    /// Set slot `slot`'s key and replay the matches on its path to the
+    /// root: a fixed number of branch-free matches against the sibling.
+    #[inline]
+    fn set(&mut self, slot: usize, key: TreeKey) {
+        let mut i = self.leaves + slot;
+        let mut winner = key;
+        self.nodes[i] = winner;
+        while i > 1 {
+            winner = winner.min(self.nodes[i ^ 1]);
+            i /= 2;
+            self.nodes[i] = winner;
+        }
+    }
 }
 
 /// Free-pools recycling the per-CTA/per-warp buffers as CTAs retire —
@@ -400,9 +474,9 @@ struct Scratch {
     words: Vec<u64>,
     /// Coalesced cache-line list (was a per-instruction `Vec`).
     lines: Vec<u64>,
-    /// Warp-wide operand register files (SoA ALU/Setp gather targets).
+    /// Warp-wide operand register files (SoA gather targets).
     ops: [WarpOperand; MAX_SRCS],
-    /// Warp-wide result register file (SoA ALU scatter source).
+    /// Warp-wide result register file (SoA ALU and `Ld` scatter source).
     out: WarpOperand,
 }
 
@@ -537,10 +611,10 @@ impl<'m, 'g> SmEngine<'m, 'g> {
         let mut pending = blocks.iter().copied();
         let mut ctas: Vec<Cta> = Vec::with_capacity(residency as usize);
         let mut warps: Vec<Warp> = Vec::new();
-        // Seed initial residency.
-        for _ in 0..residency {
+        // Seed initial residency: CTA `i` takes slot range `i`.
+        for i in 0..residency {
             if let Some(b) = pending.next() {
-                self.admit_cta(&mut ctas, &mut warps, b, 0);
+                self.admit_cta(&mut ctas, &mut warps, b, 0, i * self.warps_per_block);
             }
         }
         // Injected hang: wedge the first warp past the cycle budget so
@@ -552,7 +626,7 @@ impl<'m, 'g> SmEngine<'m, 'g> {
             }
         }
         match self.scheduler {
-            Scheduler::EventHeap => self.run_heap(&mut pending, &mut ctas, &mut warps)?,
+            Scheduler::WinnerTree => self.run_tree(&mut pending, &mut ctas, &mut warps)?,
             Scheduler::LinearScan => self.run_scan(&mut pending, &mut ctas, &mut warps)?,
         }
         self.stats.mem = self.mem.stats;
@@ -572,7 +646,7 @@ impl<'m, 'g> SmEngine<'m, 'g> {
     /// Reference scheduler: O(W) scan for the runnable warp minimizing
     /// `(ready_cycle, warp_id)` — the strict `r < br` comparison keeps
     /// the first (lowest-id) warp on ready-time ties, which is exactly
-    /// the lexicographic order the event heap reproduces.
+    /// the lexicographic order the winner tree reproduces.
     fn scan_best(&self, warps: &[Warp]) -> Option<(u64, usize, Wait)> {
         let mut best: Option<(u64, usize, Wait)> = None;
         for (i, w) in warps.iter().enumerate() {
@@ -608,83 +682,72 @@ impl<'m, 'g> SmEngine<'m, 'g> {
         }
     }
 
-    /// Push warp `i` into the ready-queue with its current ready time.
-    /// Ready times are monotone (a warp's earliest issue cycle never
-    /// moves backwards), so stale entries are recognized on pop by a
-    /// per-warp generation counter instead of being removed eagerly.
-    fn heap_push(
-        &self,
-        heap: &mut std::collections::BinaryHeap<std::cmp::Reverse<(u64, u32, u64)>>,
-        warps: &mut [Warp],
-        i: usize,
-    ) {
-        if warps[i].done || warps[i].at_barrier {
-            return;
-        }
-        let (r, why) = self.warp_ready_info(&warps[i]);
+    /// Re-key warp `i`'s winner-tree leaf from its current state: its
+    /// `(ready_cycle, warp_id)`, or idle when it cannot issue.
+    fn rekey(&self, tree: &mut WinnerTree, warps: &mut [Warp], i: usize) {
         let w = &mut warps[i];
-        w.ready_why = why;
-        w.sched_gen += 1;
-        heap.push(std::cmp::Reverse((r, i as u32, w.sched_gen)));
+        let key = if w.done || w.at_barrier {
+            TreeKey::IDLE
+        } else {
+            let (ready, why) = self.warp_ready_info(w);
+            w.ready_why = why;
+            TreeKey { ready, warp: i as u32 }
+        };
+        tree.set(w.slot as usize, key);
     }
 
-    fn run_heap<I: Iterator<Item = u32>>(
+    fn run_tree<I: Iterator<Item = u32>>(
         &mut self,
         pending: &mut I,
         ctas: &mut Vec<Cta>,
         warps: &mut Vec<Warp>,
     ) -> Result<(), SimError> {
-        use std::cmp::Reverse;
-        // Invariant: every runnable warp has exactly one *live* entry
-        // (matching its `sched_gen`); every state change that can move a
-        // warp's ready time lands its index in `touched`, which re-pushes
-        // with a bumped generation. Dead entries pop in front of their
-        // replacement (ready times only grow) and are discarded.
-        let mut heap: std::collections::BinaryHeap<Reverse<(u64, u32, u64)>> =
-            std::collections::BinaryHeap::with_capacity(warps.len() + 1);
+        // Invariant: every runnable warp's leaf holds its current key and
+        // every other leaf is idle. A step can change the state of the
+        // issued warp and of the warps it lands in `touched`; nothing
+        // else, so re-keying exactly those keeps the invariant. The
+        // issued warp goes first: when its CTA retires, a newly
+        // admitted warp takes over its slot and is re-keyed after it.
+        let mut tree = WinnerTree::new(self.residency as usize * self.warps_per_block as usize);
         let mut touched: Vec<usize> = Vec::new();
         for i in 0..warps.len() {
-            self.heap_push(&mut heap, warps, i);
+            self.rekey(&mut tree, warps, i);
         }
         loop {
-            let Some(Reverse((ready, id, gen))) = heap.pop() else {
-                // Queue drained with no runnable warp left — same
-                // terminal condition as the reference scan.
+            let Some((ready, wi)) = tree.root() else {
+                // No runnable warp left — same terminal condition as
+                // the reference scan.
                 if warps.iter().all(|w| w.done) {
                     return Ok(());
                 }
                 return Err(SimError::Deadlock);
             };
-            let wi = id as usize;
-            if warps[wi].done || warps[wi].at_barrier || gen != warps[wi].sched_gen {
-                continue; // dead entry (lazy deletion)
-            }
             let wait = warps[wi].ready_why;
             #[cfg(debug_assertions)]
             {
-                // The heap must reproduce the reference scan's
+                // The tree must reproduce the reference scan's
                 // `(ready, warp_id)` total order pick for pick.
                 let reference = self.scan_best(warps);
                 debug_assert_eq!(
                     reference,
                     Some((ready, wi, wait)),
-                    "event heap diverged from the reference scan order"
+                    "winner tree diverged from the reference scan order"
                 );
             }
             touched.clear();
             self.issue_at(pending, ctas, warps, wi, ready, wait, &mut touched)?;
+            self.rekey(&mut tree, warps, wi);
             for &k in &touched {
-                self.heap_push(&mut heap, warps, k);
+                self.rekey(&mut tree, warps, k);
             }
         }
     }
 
     /// One issue step: step-limit/watchdog guards, issue-slot and stall
     /// bookkeeping, the warp step itself, then barrier release and CTA
-    /// retirement/admission. Indices of warps whose scheduling state
-    /// changed (beyond `wi` going done/to-barrier) are appended to
-    /// `touched` so the event heap can re-queue them; the scan scheduler
-    /// ignores the list.
+    /// retirement/admission. Indices of warps other than `wi` whose
+    /// scheduling state changed are appended to `touched` so the winner
+    /// tree can re-key them; the scan scheduler ignores the list.
     #[allow(clippy::too_many_arguments)]
     fn issue_at<I: Iterator<Item = u32>>(
         &mut self,
@@ -735,10 +798,8 @@ impl<'m, 'g> SmEngine<'m, 'g> {
             self.stats.stalls.issued += 1;
             self.acct_cursor = t + 1;
         }
-        // Per-warp-slot rollup: hardware slots are recycled as CTAs
-        // retire, so key by (resident slot, warp-in-block).
-        let slot = (warps[wi].cta % self.residency.max(1) as usize) * self.warps_per_block as usize
-            + warps[wi].warp_in_block as usize;
+        // Per-warp-slot rollup (index fixed at admission).
+        let slot = warps[wi].rollup as usize;
         if slot >= self.per_warp_issued.len() {
             self.per_warp_issued.resize(slot + 1, 0);
         }
@@ -747,23 +808,19 @@ impl<'m, 'g> SmEngine<'m, 'g> {
         self.step_warp(warps, wi, ctas, t)?;
 
         // Barrier release: if every live warp of the CTA is waiting.
-        let cta = warps[wi].cta;
+        // The CTA's warps are contiguous in the warp table.
         if warps[wi].at_barrier {
-            let all = warps.iter().filter(|w| w.cta == cta && !w.done).all(|w| w.at_barrier);
-            if all {
-                let release = warps
-                    .iter()
-                    .filter(|w| w.cta == cta && !w.done)
-                    .map(|w| w.barrier_release)
-                    .max()
-                    .unwrap_or(t);
-                for (i, w) in warps.iter_mut().enumerate().filter(|(_, w)| w.cta == cta && !w.done)
-                {
+            let first = ctas[warps[wi].cta].first_warp;
+            let block = &mut warps[first..first + self.warps_per_block as usize];
+            if block.iter().filter(|w| !w.done).all(|w| w.at_barrier) {
+                let release =
+                    block.iter().filter(|w| !w.done).map(|w| w.barrier_release).max().unwrap_or(t);
+                for (k, w) in block.iter_mut().enumerate().filter(|(_, w)| !w.done) {
                     w.at_barrier = false;
                     w.next_free = w.next_free.max(release);
                     w.free_reason = Wait::Barrier;
-                    if i != wi {
-                        touched.push(i);
+                    if first + k != wi {
+                        touched.push(first + k);
                     }
                 }
             }
@@ -803,16 +860,14 @@ impl<'m, 'g> SmEngine<'m, 'g> {
                 }
                 self.scratch.shared.push(std::mem::take(&mut ctas[c].shared));
                 if let Some(b) = pending.next() {
+                    // The new CTA takes over the retired one's slot range.
                     let start = self.last_event.max(t);
                     let first_new = warps.len();
-                    self.admit_cta(ctas, warps, b, start);
-                    for i in first_new..warps.len() {
-                        touched.push(i);
-                    }
+                    let slot_base = ctas[c].slot_base;
+                    self.admit_cta(ctas, warps, b, start, slot_base);
+                    touched.extend(first_new..warps.len());
                 }
             }
-        } else if !warps[wi].at_barrier {
-            touched.push(wi);
         }
         Ok(())
     }
@@ -869,8 +924,20 @@ impl<'m, 'g> SmEngine<'m, 'g> {
         }
     }
 
-    fn admit_cta(&mut self, ctas: &mut Vec<Cta>, warps: &mut Vec<Warp>, grid_idx: u32, start: u64) {
+    /// Admit block `grid_idx` at cycle `start` into the hardware warp
+    /// slots from `slot_base`.
+    fn admit_cta(
+        &mut self,
+        ctas: &mut Vec<Cta>,
+        warps: &mut Vec<Warp>,
+        grid_idx: u32,
+        start: u64,
+        slot_base: u32,
+    ) {
         let cta_slot = ctas.len();
+        // Per-warp-slot rollup key: (resident slot, warp-in-block), with
+        // the resident slot recycled round-robin as CTAs are admitted.
+        let rollup_base = (cta_slot % self.residency.max(1) as usize) as u32 * self.warps_per_block;
         let lanes = self.build_arena();
         let smem = self.prog.module.user_smem_bytes as usize;
         let shared = Self::recycled(&mut self.scratch.shared, smem);
@@ -879,6 +946,8 @@ impl<'m, 'g> SmEngine<'m, 'g> {
             lanes,
             shared,
             warps_left: self.warps_per_block as usize,
+            first_warp: warps.len(),
+            slot_base,
             admitted_at: start,
         });
         for w in 0..self.warps_per_block {
@@ -904,8 +973,9 @@ impl<'m, 'g> SmEngine<'m, 'g> {
                 onchip_mem,
                 local_ready,
                 pred_ready: [0; NUM_PRED_REGS as usize],
-                sched_gen: 0,
                 ready_why: Wait::Pipeline,
+                slot: slot_base + w,
+                rollup: rollup_base + w,
             });
         }
     }
@@ -1049,10 +1119,16 @@ impl<'m, 'g> SmEngine<'m, 'g> {
     /// completion cycle. Uses the recycled line buffer — no allocation.
     fn coalesced_access(&mut self, addrs: &[u64], width: Width, t: u64) -> u64 {
         let mut lines = std::mem::take(&mut self.scratch.lines);
-        self.mem.coalesce_into(
-            addrs.iter().flat_map(|&a| (0..width.words()).map(move |k| a + u64::from(k) * 4)),
-            &mut lines,
-        );
+        // One word per lane needs no expansion; a slice iterator also
+        // lets `extend` skip its per-item capacity checks.
+        if width == Width::W32 {
+            self.mem.coalesce_into(addrs.iter().copied(), &mut lines);
+        } else {
+            self.mem.coalesce_into(
+                addrs.iter().flat_map(|&a| (0..width.words()).map(move |k| a + u64::from(k) * 4)),
+                &mut lines,
+            );
+        }
         let mut completions = t;
         for &line in &lines {
             completions = completions.max(self.mem.access(line, t, MemKind::Global));
@@ -1308,8 +1384,8 @@ impl<'m, 'g> SmEngine<'m, 'g> {
                     }
                     LaneArena::Soa(soa) => {
                         let exec = soa.exec_mask(ctx.warp, mask, inst.pred, inst.pred_neg);
-                        let mut base = WarpOperand::default();
-                        soa.gather(&inst.srcs()[0], &ctx, &mut base);
+                        let base = &mut self.scratch.ops[0];
+                        soa.gather(&inst.srcs()[0], &ctx, base);
                         let mut m = exec;
                         while m != 0 {
                             let lane = m.trailing_zeros() as usize;
@@ -1317,7 +1393,7 @@ impl<'m, 'g> SmEngine<'m, 'g> {
                                 .push((i64::from(base.w0(lane) as i32) + i64::from(offset)) as u64);
                             m &= m - 1;
                         }
-                        Some((exec, base))
+                        Some(exec)
                     }
                 };
                 // Phase 2: timing over the gathered addresses.
@@ -1377,26 +1453,39 @@ impl<'m, 'g> SmEngine<'m, 'g> {
                         }
                     }
                     LaneArena::Soa(soa) => {
-                        let (exec, base) = soa_gather.expect("soa gather state");
+                        // Gather every active lane's words, then write the
+                        // destination with one masked scatter. No lane's
+                        // read can see another lane's write (each lane's
+                        // local region is its own), so this matches
+                        // lane-by-lane write-back. A faulting lane aborts
+                        // the launch, so its partial result is unobservable.
+                        let exec = soa_gather.expect("soa gather state");
+                        let Scratch { ops, out, .. } = &mut self.scratch;
+                        let base = &ops[0];
+                        out.words = width.words() as u8;
                         let mut m = exec;
                         while m != 0 {
                             let lane = m.trailing_zeros() as usize;
-                            let tid = warp_base_tid + lane as u32;
                             let addr = (i64::from(base.w0(lane) as i32) + i64::from(offset)) as u64;
                             let v = match space {
-                                MemSpace::Global => self
-                                    .global
-                                    .read(addr, width)
-                                    .ok_or(SimError::OutOfBounds { space, addr })?,
-                                MemSpace::Shared => read_bytes(shared, addr, width)
-                                    .ok_or(SimError::OutOfBounds { space, addr })?,
-                                MemSpace::Local => read_bytes(soa.local_region(tid), addr, width)
-                                    .ok_or(SimError::OutOfBounds { space, addr })?,
+                                MemSpace::Global => self.global.read(addr, width),
+                                MemSpace::Shared => read_bytes(shared, addr, width),
+                                MemSpace::Local => read_bytes(
+                                    soa.local_region(warp_base_tid + lane as u32),
+                                    addr,
+                                    width,
+                                ),
                             };
-                            if let Some(d) = inst.dst {
-                                soa.write_val(d, ctx.warp, tid, v);
+                            let Some(v) = v else {
+                                return Err(SimError::OutOfBounds { space, addr });
+                            };
+                            for (plane, word) in out.planes.iter_mut().zip(v.w) {
+                                plane[lane] = word;
                             }
                             m &= m - 1;
+                        }
+                        if let Some(d) = inst.dst {
+                            soa.scatter(d, &ctx, exec, out);
                         }
                     }
                 }
@@ -1452,10 +1541,10 @@ impl<'m, 'g> SmEngine<'m, 'g> {
                         // never operand sources, and each lane's write
                         // happens after its own reads.
                         let exec = soa.exec_mask(ctx.warp, mask, inst.pred, inst.pred_neg);
-                        let mut base = WarpOperand::default();
-                        let mut value = WarpOperand::default();
-                        soa.gather(&inst.srcs()[0], &ctx, &mut base);
-                        soa.gather(&inst.srcs()[1], &ctx, &mut value);
+                        let Scratch { ops, .. } = &mut self.scratch;
+                        let [base, value, ..] = ops;
+                        soa.gather(&inst.srcs()[0], &ctx, base);
+                        soa.gather(&inst.srcs()[1], &ctx, value);
                         let mut m = exec;
                         while m != 0 {
                             let lane = m.trailing_zeros() as usize;
@@ -1669,31 +1758,37 @@ fn handle_local_dst(
     c
 }
 
+/// The `width` value at byte `addr` of `buf`, or `None` when it does not
+/// fit. Every width is a whole number of little-endian words.
 pub(crate) fn read_bytes(buf: &[u8], addr: u64, width: Width) -> Option<Val> {
-    let n = width.bytes() as usize;
-    let a = addr as usize;
-    if a.checked_add(n)? > buf.len() {
-        return None;
-    }
+    let a = usize::try_from(addr).ok()?;
+    let bytes = buf.get(a..a.checked_add(width.bytes() as usize)?)?;
+    let words = bytes.as_chunks::<4>().0;
     let mut v = Val::default();
-    for (i, chunk) in buf[a..a + n].chunks(4).enumerate() {
-        let mut w = [0u8; 4];
-        w[..chunk.len()].copy_from_slice(chunk);
-        v.w[i] = u32::from_le_bytes(w);
+    // The single-word case apart, so the common load is one `u32` read
+    // rather than a variable-length copy.
+    if let [word] = words {
+        v.w[0] = u32::from_le_bytes(*word);
+    } else {
+        for (w, word) in v.w.iter_mut().zip(words) {
+            *w = u32::from_le_bytes(*word);
+        }
     }
     Some(v)
 }
 
+/// Store the `width` value `v` at byte `addr` of `buf`: all of its words,
+/// or nothing when it does not fit.
 pub(crate) fn write_bytes(buf: &mut [u8], addr: u64, width: Width, v: Val) -> Option<()> {
-    let n = width.bytes() as usize;
-    let a = addr as usize;
-    if a.checked_add(n)? > buf.len() {
-        return None;
-    }
-    for i in 0..width.words() as usize {
-        let bytes = v.w[i].to_le_bytes();
-        let take = (n - i * 4).min(4);
-        buf[a + i * 4..a + i * 4 + take].copy_from_slice(&bytes[..take]);
+    let a = usize::try_from(addr).ok()?;
+    let bytes = buf.get_mut(a..a.checked_add(width.bytes() as usize)?)?;
+    match bytes.as_chunks_mut::<4>().0 {
+        [word] => *word = v.w[0].to_le_bytes(),
+        words => {
+            for (word, w) in words.iter_mut().zip(v.w) {
+                *word = w.to_le_bytes();
+            }
+        }
     }
     Some(())
 }

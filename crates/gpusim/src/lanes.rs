@@ -142,22 +142,6 @@ impl SoaCta {
         }
     }
 
-    /// Write a slot value for one lane (the scalar phase of `Ld`).
-    #[inline]
-    pub fn write_val(&mut self, l: MLoc, warp: u32, tid: u32, v: Val) {
-        let lane = tid as usize % 32;
-        for k in 0..l.width.words() as usize {
-            let slot = usize::from(l.slot) + k;
-            match l.place {
-                Place::Onchip => self.plane_mut(slot, warp)[lane] = v.w[k],
-                Place::Local => {
-                    let b = slot * 4;
-                    self.local_region_mut(tid)[b..b + 4].copy_from_slice(&v.w[k].to_le_bytes());
-                }
-            }
-        }
-    }
-
     /// Gather one operand into a warp-wide register file: all 32 lanes'
     /// values, word-plane-major.
     pub fn gather(&self, op: &MOperand, ctx: &WarpCtx, out: &mut WarpOperand) {

@@ -104,7 +104,10 @@ impl MemSystem {
     pub fn coalesce_into(&self, addrs: impl Iterator<Item = u64>, lines: &mut Vec<u64>) {
         lines.clear();
         lines.extend(addrs.map(|a| a & !(self.line - 1)));
-        lines.sort_unstable();
+        // Unit-stride warps arrive already ascending: skip the sort.
+        if !lines.is_sorted() {
+            lines.sort_unstable();
+        }
         lines.dedup();
     }
 

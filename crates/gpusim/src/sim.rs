@@ -46,7 +46,7 @@ pub struct LaunchOptions {
     /// forbids inter-block communication within a launch).
     pub parallelism: u32,
     /// Warp-scheduler implementation for each SM engine; the default
-    /// event heap and the reference linear scan are bit-identical (see
+    /// winner tree and the reference linear scan are bit-identical (see
     /// [`Scheduler`]).
     pub scheduler: Scheduler,
     /// Lane-state memory layout for each SM engine; the default pooled

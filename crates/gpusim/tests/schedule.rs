@@ -3,23 +3,23 @@
 //! The engine defines one scheduling total order — issue the runnable
 //! warp minimizing `(ready_cycle, warp_id)` lexicographically — and two
 //! implementations of it (the reference linear scan, whose strict
-//! `r < br` comparison keeps the first index on ties, and the event
-//! heap keyed on exactly that pair). Orthogonally it defines two
-//! lane-state memory layouts — the reference array-of-structs and the
-//! pooled structure-of-arrays arenas — that execute the same predecoded
-//! program. These tests pin that every (scheduler, layout, parallelism)
-//! configuration is bit-identical: same cycles, same stall buckets,
-//! same per-SM rollups, same global memory bytes, same error variant at
-//! the same cycle.
+//! `r < br` comparison keeps the first index on ties, and the winner
+//! tree over hardware warp slots keyed on exactly that pair).
+//! Orthogonally it defines two lane-state memory layouts — the
+//! reference array-of-structs and the pooled structure-of-arrays
+//! arenas — that execute the same predecoded program. These tests pin
+//! that every (scheduler, layout, parallelism) configuration is
+//! bit-identical: same cycles, same stall buckets, same per-SM rollups,
+//! same global memory bytes, same error variant at the same cycle.
 
 use orion_alloc::realize::{allocate, AllocOptions, SlotBudget};
 use orion_gpusim::device::{CacheConfig, DeviceSpec};
 use orion_gpusim::exec::{Launch, SimError};
 use orion_gpusim::sim::{run_launch_opts, LaunchOptions, RunResult};
 use orion_gpusim::{LaneLayout, Scheduler};
-use orion_kir::builder::FunctionBuilder;
+use orion_kir::builder::{build_counted_loop, FunctionBuilder};
 use orion_kir::function::Module;
-use orion_kir::inst::{Cmp, Operand};
+use orion_kir::inst::{Cmp, Inst, Opcode, Operand};
 use orion_kir::mir::MModule;
 use orion_kir::types::{MemSpace, PredReg, SpecialReg, Width};
 
@@ -126,6 +126,66 @@ fn bank_conflict_kernel() -> Module {
     m
 }
 
+/// `out[gid] = fold(in[gid])` over a loop whose trip count depends on
+/// `%ctaid / 8`, so the CTAs one SM of an 8-SM device holds retire out
+/// of admission order: a later CTA's replacement takes over its slot
+/// range while older CTAs are still resident. Trip counts per SM run
+/// 1, 11, 5, 15, 9, 3, 13, 7, 1, …
+fn ctaid_trip_kernel() -> Module {
+    let mut b = FunctionBuilder::kernel("trips");
+    let tid = b.mov(Operand::Special(SpecialReg::TidX));
+    let cta = b.mov(Operand::Special(SpecialReg::CtaIdX));
+    let nt = b.mov(Operand::Special(SpecialReg::NTidX));
+    let gid = b.imad(cta, nt, tid);
+    let addr = b.imad(gid, Operand::Imm(4), Operand::Param(0));
+    let x = b.ld(MemSpace::Global, Width::W32, addr, 0);
+    let round = b.shr(cta, Operand::Imm(3));
+    let mixed = b.imul(round, Operand::Imm(5));
+    let r = b.and(mixed, Operand::Imm(7));
+    let trips = b.imad(r, Operand::Imm(2), Operand::Imm(1));
+    let acc = b.mov(x);
+    build_counted_loop(&mut b, Operand::Imm(0), trips, 1, PredReg(0), |b, _| {
+        let y = b.ld(MemSpace::Global, Width::W32, addr, 0);
+        b.push(Inst::new(Opcode::IMad, Some(acc), vec![acc.into(), Operand::Imm(3), y.into()]));
+    });
+    let out = b.imad(gid, Operand::Imm(4), Operand::Param(1));
+    b.st(MemSpace::Global, Width::W32, out, acc, 0);
+    b.exit();
+    let mut m = Module::new(b.finish());
+    // 14 KiB of shared memory per block holds GTX680 residency to 3.
+    m.user_smem_bytes = 14 * 1024;
+    m
+}
+
+/// Warp 0 of every CTA waits at a `bar.sync` that the CTA's other warps
+/// never reach: they run a dependent chain and exit. Warp 0 arrives
+/// first, so no arrival finds every live warp waiting, and an exit
+/// does not release a barrier — the launch can only end in deadlock.
+fn stranded_barrier_kernel() -> Module {
+    let mut b = FunctionBuilder::kernel("stranded");
+    let warp = b.mov(Operand::Special(SpecialReg::WarpId));
+    b.isetp(Cmp::Eq, warp, Operand::Imm(0), PredReg(0));
+    let waiter = b.new_block();
+    let worker = b.new_block();
+    b.branch(PredReg(0), false, waiter, worker);
+    b.switch_to(waiter);
+    b.bar();
+    b.exit();
+    b.switch_to(worker);
+    let tid = b.mov(Operand::Special(SpecialReg::TidX));
+    let cta = b.mov(Operand::Special(SpecialReg::CtaIdX));
+    let nt = b.mov(Operand::Special(SpecialReg::NTidX));
+    let gid = b.imad(cta, nt, tid);
+    let addr = b.imad(gid, Operand::Imm(4), Operand::Param(0));
+    let mut acc = b.ld(MemSpace::Global, Width::W32, addr, 0);
+    for _ in 0..8 {
+        acc = b.imad(acc, Operand::Imm(3), Operand::Imm(1));
+    }
+    b.st(MemSpace::Global, Width::W32, addr, acc, 0);
+    b.exit();
+    Module::new(b.finish())
+}
+
 fn run_with(
     dev: &DeviceSpec,
     machine: &MModule,
@@ -161,7 +221,7 @@ fn assert_all_configs_identical(
     bytes: usize,
 ) {
     let (reference, ref_global) = run_with(dev, machine, launch, params, bytes, reference_opts());
-    for scheduler in [Scheduler::LinearScan, Scheduler::EventHeap] {
+    for scheduler in [Scheduler::LinearScan, Scheduler::WinnerTree] {
         for layout in [LaneLayout::Aos, LaneLayout::Soa] {
             for parallelism in [1u32, 2, 3, dev.num_sms] {
                 let opts =
@@ -182,7 +242,7 @@ fn assert_all_configs_identical(
 }
 
 #[test]
-fn heap_and_scan_agree_on_latency_bound_kernel() {
+fn tree_and_scan_agree_on_latency_bound_kernel() {
     let dev = DeviceSpec::gtx680();
     let machine = compile(&streaming_kernel(6), 16, 0);
     let n = 256 * 24;
@@ -196,7 +256,7 @@ fn heap_and_scan_agree_on_latency_bound_kernel() {
 }
 
 #[test]
-fn heap_and_scan_agree_across_barriers() {
+fn tree_and_scan_agree_across_barriers() {
     let dev = DeviceSpec::c2075();
     let machine = compile(&barrier_kernel(), 16, 0);
     let n = 128 * 6;
@@ -210,7 +270,7 @@ fn heap_and_scan_agree_across_barriers() {
 }
 
 #[test]
-fn heap_and_scan_agree_under_register_pressure() {
+fn tree_and_scan_agree_under_register_pressure() {
     // A tight slot budget forces spills: local-memory (always "memory")
     // readiness competes with ALU readiness, stressing the tie-break
     // between `Wait` reasons that ride along with the ready time.
@@ -248,13 +308,16 @@ fn errors_are_identical_across_fanout() {
     assert_error_identical_across_fanout(&dev, &machine, launch, &params, patterned(31000));
 }
 
+/// Every (scheduler, layout, parallelism) configuration must fail with
+/// the serial engine's error and leave the same memory; returns that
+/// error.
 fn assert_error_identical_across_fanout(
     dev: &DeviceSpec,
     machine: &MModule,
     launch: Launch,
     params: &[u32],
     init: Vec<u8>,
-) {
+) -> SimError {
     let base = LaunchOptions {
         parallelism: 1,
         scheduler: Scheduler::LinearScan,
@@ -263,9 +326,9 @@ fn assert_error_identical_across_fanout(
     let mut ref_global = init.clone();
     let reference =
         run_launch_opts(dev, machine, launch, params, &mut ref_global, base).unwrap_err();
-    for scheduler in [Scheduler::LinearScan, Scheduler::EventHeap] {
+    for scheduler in [Scheduler::LinearScan, Scheduler::WinnerTree] {
         for layout in [LaneLayout::Aos, LaneLayout::Soa] {
-            for parallelism in [2u32, dev.num_sms] {
+            for parallelism in [1u32, 2, 3, dev.num_sms] {
                 let opts =
                     LaunchOptions { parallelism, scheduler, layout, ..LaunchOptions::default() };
                 let mut g = init.clone();
@@ -279,6 +342,36 @@ fn assert_error_identical_across_fanout(
             }
         }
     }
+    reference
+}
+
+#[test]
+fn tree_and_scan_agree_when_ctas_retire_out_of_order() {
+    let dev = DeviceSpec::gtx680();
+    let machine = compile(&ctaid_trip_kernel(), 16, 0);
+    // 12 blocks per SM against a residency of 3.
+    let launch = Launch { grid: 12 * dev.num_sms, block: 64 };
+    let n = launch.grid * launch.block;
+    let (r, _) = run_with(&dev, &machine, launch, &[0, 4 * n], (8 * n) as usize, reference_opts());
+    assert_eq!(r.occupancy.active_blocks, 3, "the kernel is sized for residency 3");
+    assert!(r.per_sm.iter().all(|sm| sm.blocks == 12));
+    assert_all_configs_identical(&dev, &machine, launch, &[0, 4 * n], (8 * n) as usize);
+}
+
+#[test]
+fn stranded_barrier_deadlocks_in_every_configuration() {
+    let dev = DeviceSpec::gtx680();
+    let machine = compile(&stranded_barrier_kernel(), 16, 0);
+    let launch = Launch { grid: 2 * dev.num_sms, block: 96 };
+    let n = launch.grid * launch.block;
+    let err = assert_error_identical_across_fanout(
+        &dev,
+        &machine,
+        launch,
+        &[0],
+        patterned(4 * n as usize),
+    );
+    assert_eq!(err, SimError::Deadlock);
 }
 
 /// A global image whose byte pattern repeats every 251 bytes (prime, so
@@ -471,7 +564,7 @@ fn soa_layout_is_bit_identical_across_workloads_and_occupancy() {
             let base = reference_opts().with_extra_smem(extra_smem);
             let (reference, ref_global) =
                 run_with(&dev, machine, *launch, params, *bytes as usize, base);
-            for scheduler in [Scheduler::LinearScan, Scheduler::EventHeap] {
+            for scheduler in [Scheduler::LinearScan, Scheduler::WinnerTree] {
                 let opts = LaunchOptions {
                     scheduler,
                     layout: LaneLayout::Soa,
