@@ -26,10 +26,11 @@
 //! `--inject-slow` deliberately measures the `soa_serial` label with
 //! the reference AoS layout (speedup ≈ 1.0×) to prove the gate fires.
 //!
-//! Writes `BENCH_perf.json`; see README "Performance" for the field
-//! reference. `--quick` runs one repetition per configuration (CI
-//! smoke mode); the default is three, keeping the minimum wall-time
-//! per configuration.
+//! A full run writes `BENCH_perf.json`; see README "Performance" for
+//! the field reference. `--quick` runs one repetition per configuration
+//! (CI smoke mode); the default is three, keeping the minimum wall-time
+//! per configuration. `--quick` and `--inject-slow` runs only print, so
+//! they never overwrite the committed full-run artifact.
 
 use orion_bench::figures::Figure;
 use orion_core::cache;
@@ -330,7 +331,11 @@ fn main() {
         }
     };
     let fig = Figure::new("perf", text, data);
-    if let Err(e) = orion_bench::emit(&fig) {
+    if quick || inject_slow {
+        // Smoke and inversion runs print their figures but leave the
+        // committed full-run artifact alone.
+        print!("{fig}");
+    } else if let Err(e) = orion_bench::emit(&fig) {
         eprintln!("FAIL: {e}");
         std::process::exit(1);
     }

@@ -23,8 +23,8 @@
 //!    cycle-domain metrics — the launch-latency and queue-wait
 //!    histograms in [`KernelMetrics`] — must also be equal. The
 //!    distributions are simulated-cycle-valued, so multiplexing must
-//!    not perturb them either. The dispatch order (a pure function of
-//!    the job set) must match too.
+//!    not perturb them either. The fixed-point replay count and the
+//!    dispatch order (pure functions of the job set) must match too.
 //! 3. **Throughput** (enforced when the host has ≥ 4 cores): the
 //!    concurrent batch must finish ≥ 2× faster than the sequential
 //!    one. On fewer cores the speedup is physically unavailable, so it
@@ -83,6 +83,9 @@ struct KernelRow {
     dispatch_wait_us: u64,
     /// Wall µs this kernel's launches spent executing (concurrent run).
     execute_us: u64,
+    /// Launches answered from the kernel's fixed-point table instead
+    /// of the backend (deterministic).
+    replayed_launches: u64,
 }
 
 #[derive(Serialize)]
@@ -278,13 +281,17 @@ fn main() {
 
     // Gate 2: per-kernel cycle-domain histograms (launch latency and
     // queue wait) must also be bit-identical — the distributions live
-    // in simulated cycles, so multiplexing must not move them. The
-    // dispatch order is a pure function of the job set and must match
-    // too.
+    // in simulated cycles, so multiplexing must not move them. So must
+    // the fixed-point replay count, and the dispatch order, both pure
+    // functions of the job set.
     let mut hist_identical = true;
     for (a, b) in seq_report.kernels.iter().zip(&conc_report.kernels) {
         if a.metrics.cycle_domain() != b.metrics.cycle_domain() {
             eprintln!("FAIL {}: latency histograms differ across in-flight limits", a.name);
+            hist_identical = false;
+        }
+        if a.metrics.replayed_launches != b.metrics.replayed_launches {
+            eprintln!("FAIL {}: fixed-point replay count differs across in-flight limits", a.name);
             hist_identical = false;
         }
     }
@@ -332,6 +339,7 @@ fn main() {
                 queue_wait_p99: k.metrics.queue_wait_cycles.p99(),
                 dispatch_wait_us: k.metrics.dispatch_wait_us,
                 execute_us: k.metrics.execute_us,
+                replayed_launches: k.metrics.replayed_launches,
             })
         })
         .collect();

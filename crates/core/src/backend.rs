@@ -159,6 +159,12 @@ pub struct Completion {
     /// Wall-clock microseconds the launch spent executing. **Not**
     /// deterministic either.
     pub exec_us: u64,
+    /// The launch succeeded and left `global` byte-identical to the
+    /// image it was given, so relaunching the same request on it would
+    /// reproduce `result` and the image exactly. Only a fault-free
+    /// [`SimBackend`] ever sets it; every other backend, and any failed
+    /// or panicked launch, reports `false`.
+    pub fixed_point: bool,
 }
 
 /// Non-blocking submission on top of [`Backend`] — the seam the
@@ -209,11 +215,11 @@ pub(crate) fn panic_detail(payload: &(dyn std::any::Any + Send)) -> String {
 
 /// Run one [`LaunchRequest`] against a closure, converting a panic into
 /// an [`OrionError::SessionPanicked`] so the ticket still completes.
-fn guarded_launch(
+fn guarded_launch<T>(
     req: &LaunchRequest,
     global: &mut [u8],
-    f: impl FnOnce(&KernelVersion, Launch, &[u32], &mut [u8], LaunchOptions) -> Result<u64, OrionError>,
-) -> Result<u64, OrionError> {
+    f: impl FnOnce(&KernelVersion, Launch, &[u32], &mut [u8], LaunchOptions) -> Result<T, OrionError>,
+) -> Result<T, OrionError> {
     let Some(version) = req.kernel.versions.get(req.version) else {
         return Err(OrionError::Tuner(format!(
             "async launch requested version {} of a {}-version kernel",
@@ -288,6 +294,9 @@ struct SimCore {
 }
 
 impl SimCore {
+    /// One launch: its cycles, and whether it is a fixed point of the
+    /// image (see [`Completion::fixed_point`]). An injected fault can
+    /// fail or perturb a relaunch, so a faulty core never claims one.
     fn launch(
         &self,
         version: &KernelVersion,
@@ -295,7 +304,7 @@ impl SimCore {
         params: &[u32],
         global: &mut [u8],
         opts: LaunchOptions,
-    ) -> Result<u64, OrionError> {
+    ) -> Result<(u64, bool), OrionError> {
         let r = run_launch_faulty(
             &self.dev,
             &version.machine,
@@ -305,7 +314,22 @@ impl SimCore {
             opts.with_extra_smem(version.extra_smem),
             self.injector.as_ref(),
         )?;
-        Ok(r.cycles)
+        Ok((r.cycles, self.injector.is_none() && !r.changed_global))
+    }
+
+    /// Execute `req` on the calling thread and package its completion.
+    fn complete(&self, ticket: TicketId, mut req: LaunchRequest, queue_wait_us: u64) -> Completion {
+        let mut global = std::mem::take(&mut req.global);
+        let exec_start = Instant::now();
+        let outcome = guarded_launch(&req, &mut global, |v, l, p, g, o| self.launch(v, l, p, g, o));
+        Completion {
+            ticket,
+            fixed_point: matches!(outcome, Ok((_, true))),
+            result: outcome.map(|(cycles, _)| cycles),
+            global,
+            queue_wait_us,
+            exec_us: exec_start.elapsed().as_micros() as u64,
+        }
     }
 }
 
@@ -397,20 +421,10 @@ impl SimBackend {
                         queue = pool.work_cv.wait(queue).unwrap_or_else(PoisonError::into_inner);
                     }
                 };
-                let Some((ticket, mut req, queued_at)) = item else { return };
+                let Some((ticket, req, queued_at)) = item else { return };
                 let queue_wait_us = queued_at.elapsed().as_micros() as u64;
                 orion_telemetry::set_scope(req.lane);
-                let exec_start = Instant::now();
-                let mut global = std::mem::take(&mut req.global);
-                let result =
-                    guarded_launch(&req, &mut global, |v, l, p, g, o| core.launch(v, l, p, g, o));
-                mailbox.retire(Completion {
-                    ticket,
-                    result,
-                    global,
-                    queue_wait_us,
-                    exec_us: exec_start.elapsed().as_micros() as u64,
-                });
+                mailbox.retire(core.complete(ticket, req, queue_wait_us));
             }));
         }
     }
@@ -461,26 +475,16 @@ impl Backend for SimBackend {
         global: &mut [u8],
         opts: LaunchOptions,
     ) -> Result<u64, OrionError> {
-        self.core.launch(version, launch, params, global, opts)
+        self.core.launch(version, launch, params, global, opts).map(|(cycles, _)| cycles)
     }
 }
 
 impl AsyncBackend for SimBackend {
-    fn submit(&self, mut req: LaunchRequest) -> TicketId {
+    fn submit(&self, req: LaunchRequest) -> TicketId {
         let ticket = self.mailbox.issue();
         if self.pool_target.load(Ordering::SeqCst) == 0 {
             // Inline path: execute on the submitter, complete at once.
-            let mut global = std::mem::take(&mut req.global);
-            let exec_start = Instant::now();
-            let result =
-                guarded_launch(&req, &mut global, |v, l, p, g, o| self.core.launch(v, l, p, g, o));
-            self.mailbox.retire(Completion {
-                ticket,
-                result,
-                global,
-                queue_wait_us: 0,
-                exec_us: exec_start.elapsed().as_micros() as u64,
-            });
+            self.mailbox.retire(self.core.complete(ticket, req, 0));
             return ticket;
         }
         self.ensure_workers();
@@ -628,6 +632,9 @@ fn inline_submit<B: Backend + ?Sized>(
         global,
         queue_wait_us: 0,
         exec_us: exec_start.elapsed().as_micros() as u64,
+        // `Backend::launch` reports cycles only: nothing proves the
+        // image was left unchanged.
+        fixed_point: false,
     });
     ticket
 }

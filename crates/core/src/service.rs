@@ -79,6 +79,20 @@
 //! settles on its fail-safe selection (the paper's §4 philosophy — the
 //! original kernel always remains runnable) instead of erroring.
 //!
+//! ## Fixed-point replay
+//!
+//! A walk keeps running its selected version after it finalizes, often
+//! on an image that version leaves unchanged. A completion whose
+//! [`Completion::fixed_point`] is set proves exactly that: relaunching
+//! the same version on the job's current image would reproduce its
+//! cycles and image. Each running job keeps those cycles per version
+//! and answers such a relaunch from the table without submitting it;
+//! any other completion clears the table, since the image may have
+//! changed. The replayed result passes through the same chaos
+//! perturbation, launch count, panic gate and budget gates as a real
+//! completion, so a session cannot tell the two apart.
+//! [`KernelMetrics::replayed_launches`] counts the replays.
+//!
 //! [`TuningSession`]: crate::session::TuningSession
 
 use crate::backend::{AsyncBackend, Completion, LaunchRequest, TicketId};
@@ -323,6 +337,10 @@ pub struct KernelMetrics {
     /// backend worker, summed across launches. Excluded from every
     /// determinism gate.
     pub execute_us: u64,
+    /// Launches answered from the job's fixed-point table instead of
+    /// the backend (see the module docs, "Fixed-point replay").
+    /// Deterministic: a pure function of the job on a given backend.
+    pub replayed_launches: u64,
 }
 
 impl KernelMetrics {
@@ -541,6 +559,13 @@ struct ActiveJob<'k> {
     /// Fault draw for the launch currently in flight, applied to its
     /// completion ([`FaultInjector::perturb_cycles`]).
     pending_fault: Option<LaunchFaults>,
+    /// Version of the launch currently in flight.
+    pending_version: usize,
+    /// Per version: the raw cycles of a launch that left the current
+    /// `global` image unchanged, so a relaunch would reproduce them
+    /// exactly. Cleared whenever a completion may have changed the image.
+    fixed_points: Vec<Option<u64>>,
+    replayed_launches: u64,
     wall_start: Instant,
     degrade_reason: Option<DegradeReason>,
     launches_done: u32,
@@ -575,13 +600,13 @@ impl ActiveJob<'_> {
                 compile_wall_us: self.compile_wall_us,
                 dispatch_wait_us: self.dispatch_wait_us,
                 execute_us: self.execute_us,
+                replayed_launches: self.replayed_launches,
             },
         }))
     }
 
     /// Finish a session the driver stopped cleanly (walk done, or a
-    /// budget degrade) and derive its disposition exactly as the
-    /// synchronous driver does.
+    /// budget degrade) and derive its disposition.
     fn seal_settled(&mut self) -> Pump {
         let outcome = self.session.clone().finish();
         let disposition = match (self.degrade_reason, outcome.state) {
@@ -604,6 +629,26 @@ impl ActiveJob<'_> {
             }
         }
     }
+
+    /// `cycles` as the service's chaos plan reports them under the
+    /// fault draw `fault` (unchanged without one).
+    fn perturbed(&self, fault: Option<LaunchFaults>, cycles: u64) -> u64 {
+        match (fault, &self.injector) {
+            (Some(f), Some(inj)) => inj.perturb_cycles(&f, cycles),
+            _ => cycles,
+        }
+    }
+
+    /// Fold one launch result into the session, count the launch, and
+    /// apply the injected-panic gate. `Some` when the session died on it.
+    fn observe(&mut self, result: Result<u64, OrionError>) -> Option<Pump> {
+        self.launches_done += 1;
+        if let Err(e) = self.session.on_launch_result(result) {
+            return Some(self.seal(Err(e), JobDisposition::Quarantined));
+        }
+        self.check_panic_fault();
+        None
+    }
 }
 
 /// The multi-kernel tuning service. See the module docs.
@@ -622,159 +667,6 @@ impl<B: AsyncBackend> OrionService<B> {
     /// The backend sessions execute on.
     pub fn backend(&self) -> &B {
         &self.backend
-    }
-
-    /// Tune one job to completion on the current thread (no telemetry
-    /// lane is assigned; used by the workers and handy in tests). The
-    /// job's [`JobPolicy`] budgets are enforced; admission control and
-    /// panic isolation are `run`-only (there is no queue here, and a
-    /// panic on the caller's own thread is the caller's to catch).
-    ///
-    /// # Errors
-    /// Compile failures, fatal launch errors, or
-    /// [`OrionError::AllCandidatesFailed`], wrapped with the kernel
-    /// name where the session applies context.
-    pub fn tune_one(&self, job: &mut KernelJob) -> Result<SessionOutcome, OrionError> {
-        self.tune_one_observed(job).0
-    }
-
-    /// [`OrionService::tune_one`] plus the session's latency metrics
-    /// (collected even when the session errors out — partial
-    /// distributions are still diagnostic).
-    pub fn tune_one_observed(
-        &self,
-        job: &mut KernelJob,
-    ) -> (Result<SessionOutcome, OrionError>, KernelMetrics) {
-        let (outcome, metrics, _) = self.tune_job(job, &JobFaults::NONE);
-        (outcome, metrics)
-    }
-
-    /// The full per-job driver: compile, open a session, drive it to a
-    /// definite disposition under the job's [`JobPolicy`] budgets and
-    /// any injected chaos (`faults`).
-    fn tune_job(
-        &self,
-        job: &mut KernelJob,
-        faults: &JobFaults,
-    ) -> (Result<SessionOutcome, OrionError>, KernelMetrics, JobDisposition) {
-        let compile_start = Instant::now();
-        let ck = match self.backend.compile_probe(&job.module, &job.tuning) {
-            Ok(ck) => ck,
-            Err(e) => {
-                return (
-                    Err(e),
-                    KernelMetrics {
-                        compile_wall_us: compile_start.elapsed().as_micros() as u64,
-                        ..KernelMetrics::default()
-                    },
-                    JobDisposition::Quarantined,
-                )
-            }
-        };
-        let compile_wall_us = compile_start.elapsed().as_micros() as u64;
-        let search = job.policy.search.unwrap_or(self.cfg.search);
-        let mut session = match self.cfg.policy {
-            Some(policy) => TuningSession::with_policy(
-                job.name.as_str(),
-                &ck,
-                job.iterations,
-                self.cfg.threshold,
-                SessionMode::Resilient(policy),
-                search,
-            ),
-            None => TuningSession::with_policy(
-                "",
-                &ck,
-                job.iterations,
-                self.cfg.threshold,
-                SessionMode::Simple,
-                search,
-            ),
-        };
-        let policy = job.policy;
-        // Injected deadline pressure composes with the job's own
-        // deadline: the tighter one wins.
-        let deadline = match (policy.deadline_cycles, faults.deadline_cycles) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        };
-        let injector = faults.plan.map(FaultInjector::new);
-        let wall_start = Instant::now();
-        let mut degrade_reason: Option<DegradeReason> = None;
-        let mut launches_done: u32 = 0;
-        let mut drive = |session: &mut TuningSession| -> Result<(), OrionError> {
-            loop {
-                // Policy gates come first: a blown budget resolves the
-                // session to Degraded *before* the next launch is issued,
-                // so a deadline can never be overshot by more than one
-                // launch chain.
-                if let Some(reason) = blown_budget(session, deadline, &policy, wall_start) {
-                    session.degrade(reason.tag());
-                    degrade_reason = Some(reason);
-                    return Ok(());
-                }
-                let SessionStep::Launch(v) = session.next_step()? else {
-                    return Ok(());
-                };
-                // Service-boundary chaos: injected faults replace (or
-                // perturb) the real launch, deterministically per
-                // (job, launch index) — identical at any worker count.
-                let result = match &injector {
-                    Some(inj) => {
-                        let f = inj.draw();
-                        match injected_error(&f, deadline) {
-                            Some(err) => Err(err),
-                            None => self
-                                .backend
-                                .launch(
-                                    &ck.versions[v],
-                                    job.launch,
-                                    &job.params,
-                                    &mut job.global,
-                                    LaunchOptions::default(),
-                                )
-                                .map(|c| inj.perturb_cycles(&f, c)),
-                        }
-                    }
-                    None => self.backend.launch(
-                        &ck.versions[v],
-                        job.launch,
-                        &job.params,
-                        &mut job.global,
-                        LaunchOptions::default(),
-                    ),
-                };
-                launches_done += 1;
-                session.on_launch_result(result)?;
-                if let Some(after) = faults.panic_after_launches {
-                    if launches_done >= after {
-                        panic!("chaos: injected worker panic after {launches_done} launches");
-                    }
-                }
-            }
-        };
-        let driven = drive(&mut session);
-        let obs = session.observations().clone();
-        let metrics = KernelMetrics {
-            launch_cycles: obs.launch_cycles,
-            queue_wait_cycles: obs.queue_wait_cycles,
-            compile_wall_us,
-            ..KernelMetrics::default()
-        };
-        match driven {
-            Ok(()) => {
-                let outcome = session.finish();
-                let disposition = match (degrade_reason, outcome.state) {
-                    (Some(reason), SessionState::Degraded) => JobDisposition::Degraded(reason),
-                    // A degrade with every version quarantined (or a
-                    // session that died on its own) is a quarantine.
-                    _ if outcome.state == SessionState::Quarantined => JobDisposition::Quarantined,
-                    _ => JobDisposition::Finalized,
-                };
-                (Ok(outcome), metrics, disposition)
-            }
-            Err(e) => (Err(e), metrics, JobDisposition::Quarantined),
-        }
     }
 
     /// Pump one session until it either submits a launch to the backend
@@ -801,18 +693,30 @@ impl<B: AsyncBackend> OrionService<B> {
             // Service-boundary chaos: injected faults replace (or
             // perturb) the real launch, deterministically per
             // (job, launch index) — identical at any in-flight limit.
+            let mut fault = None;
             if let Some(inj) = &a.injector {
                 let f = inj.draw();
                 if let Some(err) = injected_error(&f, a.deadline) {
-                    a.launches_done += 1;
-                    if let Err(e) = a.session.on_launch_result(Err(err)) {
-                        return a.seal(Err(e), JobDisposition::Quarantined);
+                    match a.observe(Err(err)) {
+                        Some(done) => return done,
+                        None => continue,
                     }
-                    a.check_panic_fault();
-                    continue;
                 }
-                a.pending_fault = Some(f);
+                fault = Some(f);
             }
+            // Fixed-point replay: this version already ran on the
+            // current image without changing it, so the launch would
+            // reproduce its cycles and image exactly. The draw above
+            // still happened, so chaos sees the same sequence.
+            if let Some(&Some(cycles)) = a.fixed_points.get(v) {
+                a.replayed_launches += 1;
+                match a.observe(Ok(a.perturbed(fault, cycles))) {
+                    Some(done) => return done,
+                    None => continue,
+                }
+            }
+            a.pending_fault = fault;
+            a.pending_version = v;
             let global = std::mem::take(&mut a.global);
             let ticket = self.backend.submit(LaunchRequest {
                 kernel: Arc::clone(&a.ck),
@@ -839,20 +743,17 @@ impl<B: AsyncBackend> OrionService<B> {
         a.global = c.global;
         a.dispatch_wait_us += c.queue_wait_us;
         a.execute_us += c.exec_us;
-        let result = match (a.pending_fault.take(), c.result) {
-            (Some(f), Ok(cycles)) => Ok(a
-                .injector
-                .as_ref()
-                .expect("a fault draw implies an injector")
-                .perturb_cycles(&f, cycles)),
-            (_, r) => r,
-        };
-        a.launches_done += 1;
-        if let Err(e) = a.session.on_launch_result(result) {
-            return a.seal(Err(e), JobDisposition::Quarantined);
+        match (&c.result, c.fixed_point) {
+            (Ok(cycles), true) => a.fixed_points[a.pending_version] = Some(*cycles),
+            // The image may have changed: no recorded fixed point holds.
+            _ => a.fixed_points.fill(None),
         }
-        a.check_panic_fault();
-        self.pump(a)
+        let fault = a.pending_fault.take();
+        let result = c.result.map(|cycles| a.perturbed(fault, cycles));
+        match a.observe(result) {
+            Some(done) => done,
+            None => self.pump(a),
+        }
     }
 
     /// Tune every job on the event loop and report in submission order.
@@ -876,6 +777,11 @@ impl<B: AsyncBackend> OrionService<B> {
         let degraded_counter = reg.register_counter(
             "degraded",
             "Jobs degraded by policy budgets over the process lifetime",
+            "",
+        );
+        let replayed_counter = reg.register_counter(
+            "replayed_launches",
+            "Launches replayed from a fixed point instead of run, over the process lifetime",
             "",
         );
         let cache_before = cache::stats();
@@ -1055,6 +961,9 @@ impl<B: AsyncBackend> OrionService<B> {
                     injector: faults.plan.map(FaultInjector::new),
                     panic_after: faults.panic_after_launches,
                     pending_fault: None,
+                    pending_version: 0,
+                    fixed_points: vec![None; ck.versions.len()],
+                    replayed_launches: 0,
                     wall_start: Instant::now(),
                     degrade_reason: None,
                     launches_done: 0,
@@ -1168,6 +1077,7 @@ impl<B: AsyncBackend> OrionService<B> {
             kernels.iter().filter(|k| matches!(k.disposition, JobDisposition::Degraded(_))).count()
                 as u64,
         );
+        replayed_counter.add(kernels.iter().map(|k| k.metrics.replayed_launches).sum());
         // Merge per-kernel distributions in submission order (the merge
         // is order-independent, but fixing the order keeps even the
         // iteration deterministic) and mirror them into the global
@@ -1338,9 +1248,11 @@ mod tests {
             .iter()
             .fold(be, |b, v| b.script(v.label.clone(), [Err(SimError::Watchdog { budget: 7 })]));
         let svc = OrionService::new(be, ServiceConfig { workers: 1, ..Default::default() });
-        let mut j = job("hung", 2, 10);
-        let err = svc.tune_one(&mut j).unwrap_err();
+        let report = svc.run(vec![job("hung", 2, 10)]);
+        let k = &report.kernels[0];
+        let err = k.outcome.as_ref().unwrap_err();
         assert!(matches!(err.root_cause(), OrionError::AllCandidatesFailed { .. }));
+        assert_eq!(k.disposition, JobDisposition::Quarantined);
     }
 
     #[test]
@@ -1461,6 +1373,27 @@ mod tests {
             );
             assert_eq!(a.disposition, b.disposition);
             assert_eq!(a.metrics.cycle_domain(), b.metrics.cycle_domain());
+        }
+    }
+
+    #[test]
+    fn fixed_point_replay_matches_simulating_every_launch() {
+        // The toy kernel scales an all-zero image, so every launch is a
+        // fixed point: the replaying backend simulates each version once,
+        // while `InlineAsync` never claims a fixed point and simulates
+        // every launch. The sessions must not tell the difference.
+        let mk = || (1..=3).map(|i| job(&format!("k{i}"), i64::from(i), 12)).collect::<Vec<_>>();
+        let cfg = ServiceConfig { workers: 2, policy: None, ..ServiceConfig::default() };
+        let fast = OrionService::new(SimBackend::new(DeviceSpec::gtx680()), cfg).run(mk());
+        let slow = OrionService::new(InlineAsync::new(SimBackend::new(DeviceSpec::gtx680())), cfg)
+            .run(mk());
+        for (a, b) in fast.kernels.iter().zip(&slow.kernels) {
+            assert_eq!(a.outcome.as_ref().unwrap(), b.outcome.as_ref().unwrap(), "{}", a.name);
+            assert_eq!(a.metrics.cycle_domain(), b.metrics.cycle_domain(), "{}", a.name);
+            let launches = a.outcome.as_ref().unwrap().iterations.len() as u64;
+            assert!(a.metrics.replayed_launches > 0, "{}: nothing replayed", a.name);
+            assert!(a.metrics.replayed_launches < launches, "{}: first launch simulates", a.name);
+            assert_eq!(b.metrics.replayed_launches, 0, "{}: InlineAsync replayed", b.name);
         }
     }
 

@@ -498,8 +498,15 @@ impl GlobalMem<'_, '_> {
         }
     }
 
+    /// Store `v`; until `*changed` is set, first compare it with the
+    /// word(s) it overwrites and set `*changed` when any differs. Once
+    /// set, stores skip the compare.
     #[inline]
-    fn write(&mut self, addr: u64, width: Width, v: Val) -> Option<()> {
+    fn write(&mut self, addr: u64, width: Width, v: Val, changed: &mut bool) -> Option<()> {
+        if !*changed {
+            let n = usize::from(width.words());
+            *changed = self.read(addr, width)?.w[..n] != v.w[..n];
+        }
         match self {
             GlobalMem::Direct(buf) => write_bytes(buf, addr, width, v),
             GlobalMem::Overlay(pages) => pages.write(addr, width, v),
@@ -516,6 +523,10 @@ pub(crate) struct SmEngine<'m, 'g> {
     global: GlobalMem<'g, 'm>,
     mem: MemSystem,
     pub stats: SimStats,
+    /// Some global store wrote a value different from the one global
+    /// memory held at that moment (this engine's view of it). `false`
+    /// after a run means every store rewrote what was already there.
+    pub changed_global: bool,
     /// Warp-instructions issued per hardware warp slot (resident-CTA
     /// slot × warps-per-block + warp-in-block), for the per-warp-slot
     /// occupancy rollup.
@@ -585,6 +596,7 @@ impl<'m, 'g> SmEngine<'m, 'g> {
             global,
             mem: MemSystem::new(dev),
             stats: SimStats::default(),
+            changed_global: false,
             per_warp_issued: Vec::new(),
             sm_id,
             onchip_words,
@@ -1522,7 +1534,7 @@ impl<'m, 'g> SmEngine<'m, 'g> {
                             match space {
                                 MemSpace::Global => self
                                     .global
-                                    .write(addr, width, v)
+                                    .write(addr, width, v, &mut self.changed_global)
                                     .ok_or(SimError::OutOfBounds { space, addr })?,
                                 MemSpace::Shared => write_bytes(shared, addr, width, v)
                                     .ok_or(SimError::OutOfBounds { space, addr })?,
@@ -1554,7 +1566,7 @@ impl<'m, 'g> SmEngine<'m, 'g> {
                             match space {
                                 MemSpace::Global => self
                                     .global
-                                    .write(addr, width, v)
+                                    .write(addr, width, v, &mut self.changed_global)
                                     .ok_or(SimError::OutOfBounds { space, addr })?,
                                 MemSpace::Shared => write_bytes(shared, addr, width, v)
                                     .ok_or(SimError::OutOfBounds { space, addr })?,

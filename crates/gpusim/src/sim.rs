@@ -151,6 +151,14 @@ pub struct RunResult {
     pub num_sms: u32,
     /// Per-SM rollups, one entry per SM (idle SMs included).
     pub per_sm: Vec<SmSummary>,
+    /// Some global store wrote a value different from the one global
+    /// memory held at that moment. `false` means the launch left the
+    /// image byte-identical: every store rewrote what was already
+    /// there. The flag is the same at every scheduler, lane layout and
+    /// parallelism: until the first changing store, every SM's view in
+    /// both the serial and the fan-out path is the input image, so the
+    /// first changing store happens on both paths or on neither.
+    pub changed_global: bool,
 }
 
 /// Ratio metrics derived from a [`RunResult`] — the `events_per_cycle`
@@ -421,6 +429,7 @@ fn run_launch_impl(
                 cycles: c,
                 stats: engine.stats,
                 per_warp: std::mem::take(&mut engine.per_warp_issued),
+                changed_global: engine.changed_global,
             }));
         }
         v
@@ -443,6 +452,7 @@ fn run_launch_impl(
     // sum to exactly `cycles * num_sms`. Summaries merge in sm-id order
     // regardless of which worker ran which SM.
     let cycles = outcomes.iter().flatten().map(|o| o.cycles).max().unwrap_or(0);
+    let changed_global = outcomes.iter().flatten().any(|o| o.changed_global);
     let mut stats = SimStats::default();
     let mut per_sm: Vec<SmSummary> = Vec::with_capacity(dev.num_sms as usize);
     for (sm, outcome) in outcomes.into_iter().enumerate() {
@@ -477,7 +487,15 @@ fn run_launch_impl(
         cycles * u64::from(dev.num_sms),
         "device stall buckets must cover every SM-cycle"
     );
-    Ok(RunResult { cycles, stats, occupancy: occ, resources: res, num_sms: dev.num_sms, per_sm })
+    Ok(RunResult {
+        cycles,
+        stats,
+        occupancy: occ,
+        resources: res,
+        num_sms: dev.num_sms,
+        per_sm,
+        changed_global,
+    })
 }
 
 /// What one SM engine produced for one launch (before device-level
@@ -486,6 +504,7 @@ struct SmRun {
     cycles: u64,
     stats: SimStats,
     per_warp: Vec<u64>,
+    changed_global: bool,
 }
 
 /// Resolve `LaunchOptions::parallelism` into a worker count: `0` means
@@ -559,9 +578,10 @@ fn run_sms_parallel(
                 let r = engine.run(&partition[sm], residency);
                 let stats = engine.stats;
                 let per_warp = std::mem::take(&mut engine.per_warp_issued);
+                let changed_global = engine.changed_global;
                 drop(engine);
                 let runs = pages.take_runs();
-                let run = r.map(|c| SmRun { cycles: c, stats, per_warp });
+                let run = r.map(|c| SmRun { cycles: c, stats, per_warp, changed_global });
                 out.push((sm, run, runs));
             }
         };

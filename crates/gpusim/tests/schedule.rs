@@ -212,14 +212,14 @@ fn reference_opts() -> LaunchOptions {
 
 /// Every (scheduler, layout, parallelism) combination must agree
 /// bit-for-bit with the seed configuration (linear scan, AoS lanes,
-/// single thread).
+/// single thread); returns the seed configuration's result.
 fn assert_all_configs_identical(
     dev: &DeviceSpec,
     machine: &MModule,
     launch: Launch,
     params: &[u32],
     bytes: usize,
-) {
+) -> RunResult {
     let (reference, ref_global) = run_with(dev, machine, launch, params, bytes, reference_opts());
     for scheduler in [Scheduler::LinearScan, Scheduler::WinnerTree] {
         for layout in [LaneLayout::Aos, LaneLayout::Soa] {
@@ -239,6 +239,53 @@ fn assert_all_configs_identical(
             }
         }
     }
+    reference
+}
+
+/// Every thread loads `buf[gid]` and stores a word back to it: the
+/// loaded value, or 1 for thread `poke`. With `restore`, every thread
+/// first stores 1 and then the loaded value, so the image ends as it
+/// began although stores changed it on the way.
+fn rewrite_kernel(poke: Option<i64>, restore: bool) -> Module {
+    let mut b = FunctionBuilder::kernel("rewrite");
+    let tid = b.mov(Operand::Special(SpecialReg::TidX));
+    let cta = b.mov(Operand::Special(SpecialReg::CtaIdX));
+    let nt = b.mov(Operand::Special(SpecialReg::NTidX));
+    let gid = b.imad(cta, nt, tid);
+    let addr = b.imad(gid, Operand::Imm(4), Operand::Param(0));
+    let x = b.ld(MemSpace::Global, Width::W32, addr, 0);
+    if restore {
+        b.st(MemSpace::Global, Width::W32, addr, Operand::Imm(1), 0);
+    }
+    let v = match poke {
+        Some(g) => {
+            b.isetp(Cmp::Eq, gid, Operand::Imm(g), PredReg(0));
+            b.sel(PredReg(0), Operand::Imm(1), x)
+        }
+        None => x,
+    };
+    b.st(MemSpace::Global, Width::W32, addr, v, 0);
+    Module::new(b.finish())
+}
+
+/// `RunResult::changed_global` says whether some store changed a byte
+/// when it wrote, in every configuration alike: not for stores of the
+/// values already present, yes for one changed byte, and yes for a
+/// kernel whose later stores restore what its earlier ones changed.
+#[test]
+fn changed_global_is_identical_across_configs() {
+    let dev = DeviceSpec::gtx680();
+    let launch = Launch { grid: 24, block: 64 };
+    let bytes = 4 * 24 * 64;
+    let changed = |poke, restore| {
+        let machine = compile(&rewrite_kernel(poke, restore), 16, 0);
+        let r = assert_all_configs_identical(&dev, &machine, launch, &[0], bytes);
+        let (_, global) = run_with(&dev, &machine, launch, &[0], bytes, reference_opts());
+        (r.changed_global, global.iter().filter(|&&b| b != 0).count())
+    };
+    assert_eq!(changed(None, false), (false, 0), "rewriting every word changes nothing");
+    assert_eq!(changed(Some(700), false), (true, 1), "one changed byte is a change");
+    assert_eq!(changed(None, true), (true, 0), "a write-then-restore kernel still changed bytes");
 }
 
 #[test]
